@@ -58,9 +58,7 @@ from .operators import (
     truncated_toeplitz,
 )
 from .minmod import (
-    AdjointCheck,
     MinModReport,
-    check_minmod_adjoint,
     galerkin_sweep,
     min_modulus_bounds,
     min_modulus_corner,

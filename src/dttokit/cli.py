@@ -1,8 +1,7 @@
 """Command-line front end: single computations, sweeps, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 unsupported symbol class.  The environment variable MINMOD_THREADS
-caps the internal parallelism of convergence sweeps.
+3 unsupported symbol class.
 """
 
 import argparse
@@ -16,7 +15,6 @@ from .fourier import (
     BlaschkeProduct,
     SymbolClassError,
     SymbolExpr,
-    as_blaschke_quotient,
     blaschke_from_json,
     constant_value,
     is_analytic,
@@ -30,12 +28,7 @@ from .minmod import (
     min_modulus_toeplitz_hankel,
     min_modulus_unimodular,
 )
-from .oracle import (
-    is_normal_sufficient_form,
-    normal_dtto_bounds,
-    oracle_constant_symbol,
-    oracle_m_dual_shift,
-)
+from .oracle import is_normal_sufficient_form, normal_dtto_bounds, _oracle_for
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SCHEDULE = (8, 16, 32, 64)
@@ -62,17 +55,6 @@ class JobConfig:
             raise ValueError("truncations must be strictly increasing")
 
 
-def _threads() -> int:
-    raw = os.environ.get("MINMOD_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError("MINMOD_THREADS must be an integer") from None
-    return max(1, n)
-
-
 def _load_json_arg(text: str) -> dict:
     text = text.strip()
     if text.startswith("{"):
@@ -86,30 +68,6 @@ def _load_json_arg(text: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # dispatch
-
-
-def _symbol_is_plain_shift(phi: SymbolExpr) -> bool:
-    quot = as_blaschke_quotient(phi)
-    return quot is not None and quot.z_power == 1 and not quot.zeros
-
-
-def _oracle_for(u: Optional[BlaschkeProduct], phi: SymbolExpr) -> Optional[float]:
-    v = oracle_constant_symbol(phi)
-    if v is not None:
-        return v
-    c = constant_value(phi)
-    if c is not None:
-        return abs(c)
-    if u is not None and _symbol_is_plain_shift(phi):
-        return oracle_m_dual_shift(u)
-    if u is not None:
-        quot = as_blaschke_quotient(phi)
-        if quot is not None and quot.z_power >= 0:
-            from .minmod import _divides
-
-            if _divides(u, quot):
-                return 0.0
-    return None
 
 
 def _report_dict(rep: MinModReport, quantity: str, oracle: Optional[float]) -> dict:
@@ -141,7 +99,7 @@ def dispatch_minmod(
     if force_method == "galerkin_sweep":
         if u is None:
             raise ValueError("a sweep needs an inner function")
-        reps = galerkin_sweep(u, phi, list(truncations), tol, threads=_threads())
+        reps = galerkin_sweep(u, phi, list(truncations), tol)
         return _report_dict(reps[-1], "m(D_phi)", oracle)
 
     c = constant_value(phi)
@@ -242,7 +200,7 @@ def cmd_sweep(cfg: JobConfig) -> int:
         raise ValueError("--inner is required")
     if not cfg.truncations:
         raise ValueError("--truncations is required for a sweep")
-    reps = galerkin_sweep(cfg.inner, cfg.symbol, cfg.truncations, cfg.tol, threads=_threads())
+    reps = galerkin_sweep(cfg.inner, cfg.symbol, cfg.truncations, cfg.tol)
     if cfg.format == "json":
         _write_output(json.dumps([r.to_dict() for r in reps], indent=2), cfg.output)
         return 0

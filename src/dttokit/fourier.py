@@ -19,6 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+_PAIRING_BLOCK = 2048  # indices per stacked block in window_inner_product
 
 
 class SymbolClassError(ValueError):
@@ -83,6 +84,23 @@ def delta_window(n: int, value: complex = 1.0) -> FourierWindow:
     return FourierWindow(n, np.array([value], dtype=np.complex128), 0.0)
 
 
+def _coeffs_over(w: FourierWindow, lo: int, hi: int) -> np.ndarray:
+    """Coefficients of w at the indices lo..hi, zero outside its block."""
+    out = np.zeros(hi - lo + 1, dtype=np.complex128)
+    a, b = max(lo, w.lo), min(hi, w.hi)
+    if a <= b:
+        out[a - lo : b - lo + 1] = w.coeffs[a - w.lo : b - w.lo + 1]
+    return out
+
+
+def _stack_windows(windows, lo: int, hi: int) -> np.ndarray:
+    """One row per window: its coefficients at the indices lo..hi."""
+    rows = np.empty((len(windows), hi - lo + 1), dtype=np.complex128)
+    for row, w in zip(rows, windows):
+        row[:] = _coeffs_over(w, lo, hi)
+    return rows
+
+
 def window_multiply(f: FourierWindow, g: FourierWindow) -> FourierWindow:
     """Cauchy product of two windows.
 
@@ -111,9 +129,7 @@ def window_shift(f: FourierWindow, k: int) -> FourierWindow:
 def window_add(f: FourierWindow, g: FourierWindow) -> FourierWindow:
     lo = min(f.lo, g.lo)
     hi = max(f.hi, g.hi)
-    out = np.zeros(hi - lo + 1, dtype=np.complex128)
-    out[f.lo - lo : f.hi - lo + 1] += f.coeffs
-    out[g.lo - lo : g.hi - lo + 1] += g.coeffs
+    out = _coeffs_over(f, lo, hi) + _coeffs_over(g, lo, hi)
     return FourierWindow(lo, out, f.tail_bound + g.tail_bound)
 
 
@@ -121,19 +137,30 @@ def window_sub(f: FourierWindow, g: FourierWindow) -> FourierWindow:
     return window_add(f, window_scale(g, -1.0))
 
 
-def window_inner_product(f: FourierWindow, g: FourierWindow) -> complex:
+def window_inner_product(f, g):
     """l2 pairing sum f_hat(n) conj(g_hat(n)) over the common support.
 
     Realizes the L2(T) inner product; the absolute error is at most
-    ||f|| tail(g) + ||g|| tail(f) + tail(f) tail(g).
+    ||f|| tail(g) + ||g|| tail(f) + tail(f) tail(g).  Either argument may
+    be a sequence of windows; the result is then the array of pairings
+    P[j, k] = <f_k, g_j>, with the axis of a single-window argument
+    dropped.  Both sides are stacked over their common index range, a
+    block of indices at a time, so the stacked copies stay small.
     """
-    lo = max(f.lo, g.lo)
-    hi = min(f.hi, g.hi)
-    if lo > hi:
-        return 0.0 + 0.0j
-    fs = f.coeffs[lo - f.lo : hi - f.lo + 1]
-    gs = g.coeffs[lo - g.lo : hi - g.lo + 1]
-    return complex(np.vdot(gs, fs))
+    fs = [f] if isinstance(f, FourierWindow) else list(f)
+    gs = [g] if isinstance(g, FourierWindow) else list(g)
+    lo = max(min(w.lo for w in fs), min(w.lo for w in gs))
+    hi = min(max(w.hi for w in fs), max(w.hi for w in gs))
+    p = np.zeros((len(gs), len(fs)), dtype=np.complex128)
+    for a in range(lo, hi + 1, _PAIRING_BLOCK):
+        b = min(a + _PAIRING_BLOCK - 1, hi)
+        gbar = _stack_windows(gs, a, b)
+        p += np.conj(gbar, out=gbar) @ _stack_windows(fs, a, b).T
+    if isinstance(f, FourierWindow):
+        p = p[:, 0]
+    if isinstance(g, FourierWindow):
+        p = p[0]
+    return complex(p) if p.ndim == 0 else p
 
 
 def project_analytic(f: FourierWindow) -> FourierWindow:
@@ -300,6 +327,19 @@ class BlaschkeQuotient:
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "z_power", int(self.z_power))
         object.__setattr__(self, "zeros", zs)
+
+
+def _divides(u: BlaschkeProduct, phi: BlaschkeQuotient, atol: float = 1e-12) -> bool:
+    """Whether u divides phi as inner functions (zero multisets match)."""
+    if phi.z_power < 0:
+        return False
+    pool = list(phi.zeros) + [0.0 + 0.0j] * phi.z_power
+    for lam in u.zeros:
+        hit = next((i for i, mu in enumerate(pool) if abs(mu - lam) <= atol), None)
+        if hit is None:
+            return False
+        pool.pop(hit)
+    return True
 
 
 @dataclass(frozen=True)
@@ -505,31 +545,21 @@ def _sum_inv_sq_tail(n: int) -> float:
 
 def _piecewise_window(phi: PiecewiseArcs, lo: int, hi: int) -> FourierWindow:
     ns = np.arange(lo, hi + 1)
+    k = np.where(ns == 0, 1, ns)  # index 0 is the mean, set below
     out = np.zeros(len(ns), dtype=np.complex128)
     for t0, t1, v in phi.arcs:
-        for j, n in enumerate(ns):
-            if n == 0:
-                out[j] += v * (t1 - t0) / TWO_PI
-            else:
-                out[j] += v * (np.exp(-1j * n * t0) - np.exp(-1j * n * t1)) / (TWO_PI * 1j * n)
+        out += v * (np.exp(-1j * ns * t0) - np.exp(-1j * ns * t1)) / (TWO_PI * 1j * k)
+    c0 = sum(v * (t1 - t0) / TWO_PI for t0, t1, v in phi.arcs)
     # jump magnitude controls the O(1/n) decay
     vals = [v for _, _, v in phi.arcs]
     jumps = sum(abs(vals[i] - vals[i - 1]) for i in range(len(vals)))
     tail_sq = (jumps / TWO_PI) ** 2 * (_sum_inv_sq_tail(hi + 1) + _sum_inv_sq_tail(-lo + 1))
     tail = float(np.sqrt(tail_sq))
-    if lo > 0 or hi < 0:
-        c0 = sum(v * (t1 - t0) / TWO_PI for t0, t1, v in phi.arcs)
+    if lo <= 0 <= hi:
+        out[-lo] = c0
+    else:
         tail += abs(c0)
     return FourierWindow(lo, out, tail)
-
-
-def _cover(w: FourierWindow, lo: int, hi: int) -> FourierWindow:
-    """Zero-pad a window so its index range covers [lo, hi]."""
-    nlo = min(w.lo, lo)
-    nhi = max(w.hi, hi)
-    out = np.zeros(nhi - nlo + 1, dtype=np.complex128)
-    out[w.lo - nlo : w.hi - nlo + 1] = w.coeffs
-    return FourierWindow(nlo, out, w.tail_bound)
 
 
 def symbol_to_window(phi: SymbolExpr, lo: int, hi: int, tol: float) -> FourierWindow:
@@ -544,14 +574,6 @@ def symbol_to_window(phi: SymbolExpr, lo: int, hi: int, tol: float) -> FourierWi
         raise ValueError("empty index interval")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if isinstance(phi, LaurentPoly):
-        w = FourierWindow(phi.offset, phi.coeffs, 0.0)
-        return _cover(w, lo, hi)
-    if isinstance(phi, BlaschkeQuotient):
-        # certified block: every omitted coefficient is covered by the tail
-        w = _blaschke_product_window(phi.zeros, tol)
-        w = window_shift(window_scale(w, phi.constant), phi.z_power)
-        return _cover(w, lo, hi)
     if isinstance(phi, Conjugate):
         return window_conjugate(symbol_to_window(phi.of, -hi, -lo, tol))
     if isinstance(phi, SumConst):
@@ -559,7 +581,16 @@ def symbol_to_window(phi: SymbolExpr, lo: int, hi: int, tol: float) -> FourierWi
         return window_add(w, delta_window(0, phi.constant))
     if isinstance(phi, PiecewiseArcs):
         return _piecewise_window(phi, lo, hi)
-    raise TypeError(f"not a symbol: {phi!r}")
+    if isinstance(phi, LaurentPoly):
+        w = FourierWindow(phi.offset, phi.coeffs, 0.0)
+    elif isinstance(phi, BlaschkeQuotient):
+        # certified block: every omitted coefficient is covered by the tail
+        w = _blaschke_product_window(phi.zeros, tol)
+        w = window_shift(window_scale(w, phi.constant), phi.z_power)
+    else:
+        raise TypeError(f"not a symbol: {phi!r}")
+    lo, hi = min(lo, w.lo), max(hi, w.hi)
+    return FourierWindow(lo, _coeffs_over(w, lo, hi), w.tail_bound)
 
 
 # ---------------------------------------------------------------------------

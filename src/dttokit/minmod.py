@@ -25,17 +25,18 @@ from .fourier import (
     is_unimodular,
     project_analytic,
     symbol_to_window,
-    window_conjugate,
     window_multiply,
+    _divides,
 )
-from .modelspace import ModelBasis, tm_basis
+from .modelspace import ModelBasis, gram_matrix, tm_basis
 from .operators import (
     OperatorMatrix,
     corner_images,
     corner_gram,
     truncated_toeplitz,
-    _gram,
+    _dtto_rectangular,
 )
+from .oracle import truncated_toeplitz_norm_hankel
 
 RANK_TOL_DEFAULT = 1e-8
 
@@ -112,36 +113,6 @@ def reduced_min_modulus(mat: OperatorMatrix, rank_tol: float = RANK_TOL_DEFAULT)
     return float(above[-1])
 
 
-@dataclass(frozen=True)
-class AdjointCheck:
-    sigma_min: float
-    sigma_min_adjoint: float
-    kernel_dim: int
-    cokernel_dim: int
-    rank_tol: float
-
-    @property
-    def max_deviation(self) -> float:
-        return abs(self.sigma_min - self.sigma_min_adjoint)
-
-
-def check_minmod_adjoint(mat: OperatorMatrix, rank_tol: float = RANK_TOL_DEFAULT) -> AdjointCheck:
-    """Verify sigma_min(M) = sigma_min(M*) and report numerical kernel dims.
-
-    For square matrices the equality is automatic (singular values of M and
-    M* coincide); it is the finite-dimensional shadow of the statement that
-    equal kernel dimensions force equal minimum moduli.
-    """
-    m, n = mat.shape
-    if m != n:
-        raise ValueError("adjoint check expects a square matrix")
-    s = np.linalg.svd(mat.entries, compute_uv=False)
-    cutoff = rank_tol * max(1.0, float(s[0]))
-    k = int(np.sum(s <= cutoff))
-    s_adj = np.linalg.svd(mat.entries.conj().T, compute_uv=False)
-    return AdjointCheck(float(s[-1]), float(s_adj[-1]), k, k, rank_tol)
-
-
 # ---------------------------------------------------------------------------
 # theorem-backed routes for m(D_phi), unimodular phi
 
@@ -207,8 +178,8 @@ def min_modulus_bounds(
     if basis is None:
         basis = tm_basis(u, tol)
     t_imgs, h_imgs = corner_images(basis, conjugated(phi), tol)
-    t_sq = float(np.linalg.eigvalsh(_gram(t_imgs))[-1])
-    h_sq = float(np.linalg.eigvalsh(_gram(h_imgs))[-1])
+    t_sq = float(np.linalg.eigvalsh(gram_matrix(t_imgs))[-1])
+    h_sq = float(np.linalg.eigvalsh(gram_matrix(h_imgs))[-1])
     lower = float(np.sqrt(max(0.0, 1.0 - (t_sq + h_sq))))
     upper = float(
         min(np.sqrt(max(0.0, 1.0 - t_sq)), np.sqrt(max(0.0, 1.0 - h_sq)))
@@ -239,30 +210,15 @@ def min_modulus_corner(
         value = float(np.sqrt(max(0.0, 1.0 - s * s)))
         oracle = None
         if analytic:
-            from .oracle import truncated_toeplitz_norm_hankel
-
             h = truncated_toeplitz_norm_hankel(u, phi, size=basis.window_width() + 16, tol=tol)
             oracle = float(np.sqrt(max(0.0, 1.0 - h * h)))
         return MinModReport(value, "finite_exact", None, a.sv_perturbation(), oracle)
     t_imgs, _ = corner_images(basis, phi, tol)
-    g = _gram(t_imgs)
+    g = gram_matrix(t_imgs)
     lam_min = float(np.linalg.eigvalsh(g)[0])
     value = float(np.sqrt(max(0.0, lam_min)))
     err = max(img.tail_bound for img in t_imgs) * 2.0 * basis.dim
     return MinModReport(value, "finite_exact", None, err)
-
-
-def _divides(u: BlaschkeProduct, phi: BlaschkeQuotient, atol: float = 1e-12) -> bool:
-    """Whether u divides phi as inner functions (zero multisets match)."""
-    if phi.z_power < 0:
-        return False
-    pool = list(phi.zeros) + [0.0 + 0.0j] * phi.z_power
-    for lam in u.zeros:
-        hit = next((i for i, mu in enumerate(pool) if abs(mu - lam) <= atol), None)
-        if hit is None:
-            return False
-        pool.pop(hit)
-    return True
 
 
 def min_modulus_inner_symbol(
@@ -282,7 +238,7 @@ def min_modulus_inner_symbol(
         basis = tm_basis(u, tol)
     phibar_w = symbol_to_window(conjugated(phi), -basis.window_width() - 1, basis.window_width() + 1, tol)
     imgs = [project_analytic(window_multiply(phibar_w, e)) for e in basis.basis]
-    lam_min = float(np.linalg.eigvalsh(_gram(imgs))[0])
+    lam_min = float(np.linalg.eigvalsh(gram_matrix(imgs))[0])
     err = max(img.tail_bound for img in imgs) * 2.0 * basis.dim
     return MinModReport(float(np.sqrt(max(0.0, lam_min))), "finite_exact", None, err)
 
@@ -291,47 +247,11 @@ def min_modulus_inner_symbol(
 # Galerkin sweep (consistency probe)
 
 
-def _dtto_rectangular(
-    u: BlaschkeProduct, phi: SymbolExpr, n: int, tol: float
-) -> OperatorMatrix:
-    """Rectangular block of the dual truncated Toeplitz operator: all 2n
-    input monomials, output window widened until the certified image tail
-    of every input basis vector is <= tol/sqrt(n)."""
-    col_tol = tol / np.sqrt(max(1, n))
-    phi_w = symbol_to_window(phi, -2 * n, 2 * n, col_tol / 2.0)
-    uw = u.window(col_tol / 2.0)
-    u_phi = window_multiply(uw, phi_w)
-    u_phibar = window_multiply(uw, window_conjugate(phi_w))
-    width = max(abs(phi_w.lo), phi_w.hi, abs(u_phi.lo), u_phi.hi, abs(u_phibar.lo), u_phibar.hi)
-    m = n + width + 1
-    a = np.zeros((2 * m, 2 * n), dtype=np.complex128)
-    for j in range(m):
-        for k in range(n):
-            a[j, k] = phi_w.coeff_at(j - k)
-    for k in range(m):
-        for i in range(1, n + 1):
-            a[k, n + i - 1] = np.conj(u_phibar.coeff_at(-k - i))
-    for j in range(1, m + 1):
-        for k in range(n):
-            a[m + j - 1, k] = u_phi.coeff_at(-j - k)
-    for j in range(1, m + 1):
-        for i in range(1, n + 1):
-            a[m + j - 1, n + i - 1] = phi_w.coeff_at(i - j)
-    err = max(phi_w.tail_bound, u_phi.tail_bound, u_phibar.tail_bound)
-    return OperatorMatrix(
-        a,
-        f"uH2[z^0..z^{n - 1}] (+) H2-[zbar^1..zbar^{n}]",
-        f"uH2[z^0..z^{m - 1}] (+) H2-[zbar^1..zbar^{m}]",
-        err,
-    )
-
-
 def galerkin_sweep(
     u: BlaschkeProduct,
     phi: SymbolExpr,
     schedule: Sequence[int],
     tol: float = 1e-9,
-    threads: int = 1,
 ) -> list:
     """Minimum modulus of rectangular compressions over growing subspaces.
 
@@ -345,14 +265,8 @@ def galerkin_sweep(
     if any(n < 1 for n in schedule):
         raise ValueError("truncations must be >= 1")
     _require_nonconstant(u)
-
-    def one(n: int) -> MinModReport:
+    reports = []
+    for n in schedule:
         block = _dtto_rectangular(u, phi, n, tol)
-        return MinModReport(sigma_min(block), "galerkin_sweep", n, block.sv_perturbation())
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, schedule))
-    return [one(n) for n in schedule]
+        reports.append(MinModReport(sigma_min(block), "galerkin_sweep", n, block.sv_perturbation()))
+    return reports

@@ -20,10 +20,12 @@ from .fourier import (
     blaschke_factor_coeffs,
     delta_window,
     geometric_window,
+    window_add,
     window_inner_product,
     window_multiply,
     window_scale,
     _factor_width,
+    _stack_windows,
 )
 
 GRAM_DEFECT_LIMIT = 1e-10
@@ -74,12 +76,8 @@ def _build_windows(u: BlaschkeProduct, tol: float) -> list:
 
 
 def gram_matrix(windows) -> np.ndarray:
-    d = len(windows)
-    g = np.empty((d, d), dtype=np.complex128)
-    for j in range(d):
-        for k in range(d):
-            g[j, k] = window_inner_product(windows[k], windows[j])
-    return g
+    """Gram matrix G[j, k] = <w_k, w_j> of a sequence of windows."""
+    return window_inner_product(windows, windows)
 
 
 def tm_basis(u: BlaschkeProduct, tol: float = 1e-12) -> ModelBasis:
@@ -117,18 +115,12 @@ def reproducing_kernel(u: BlaschkeProduct, lam: complex, tol: float = 1e-12) -> 
     geom = geometric_window(lam, _factor_width(r, tol / 4.0) if r > 0 else 1)
     uw = u.window(tol / 4.0)
     prod = window_multiply(uw, geom)
-    out = window_scale(prod, -np.conj(u(lam)))
-    lo = min(geom.lo, out.lo)
-    hi = max(geom.hi, out.hi)
-    coeffs = np.zeros(hi - lo + 1, dtype=np.complex128)
-    coeffs[geom.lo - lo : geom.hi - lo + 1] += geom.coeffs
-    coeffs[out.lo - lo : out.hi - lo + 1] += out.coeffs
-    return FourierWindow(lo, coeffs, geom.tail_bound + out.tail_bound)
+    return window_add(geom, window_scale(prod, -np.conj(u(lam))))
 
 
 def project_onto_model_space(basis: ModelBasis, f: FourierWindow) -> np.ndarray:
     """Coordinates <f, e_k> of the orthogonal projection onto the model space."""
-    return np.array([window_inner_product(f, e) for e in basis.basis], dtype=np.complex128)
+    return window_inner_product(f, basis.basis)
 
 
 def synthesize(basis: ModelBasis, coords) -> FourierWindow:
@@ -136,13 +128,7 @@ def synthesize(basis: ModelBasis, coords) -> FourierWindow:
     coords = np.asarray(coords, dtype=np.complex128)
     if coords.shape != (basis.dim,):
         raise ValueError("coordinate vector length must equal the basis dimension")
-    out = window_scale(basis.basis[0], coords[0])
-    for c, e in zip(coords[1:], basis.basis[1:]):
-        scaled = window_scale(e, c)
-        lo = min(out.lo, scaled.lo)
-        hi = max(out.hi, scaled.hi)
-        arr = np.zeros(hi - lo + 1, dtype=np.complex128)
-        arr[out.lo - lo : out.hi - lo + 1] += out.coeffs
-        arr[scaled.lo - lo : scaled.hi - lo + 1] += scaled.coeffs
-        out = FourierWindow(lo, arr, out.tail_bound + scaled.tail_bound)
-    return out
+    lo = min(e.lo for e in basis.basis)
+    hi = max(e.hi for e in basis.basis)
+    tail = sum(abs(c) * e.tail_bound for c, e in zip(coords, basis.basis))
+    return FourierWindow(lo, coords @ _stack_windows(basis.basis, lo, hi), tail)

@@ -17,12 +17,12 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fourier import (
     BlaschkeProduct,
     FourierWindow,
     SymbolExpr,
-    conjugated,
     project_analytic,
     project_antianalytic,
     symbol_to_window,
@@ -30,8 +30,9 @@ from .fourier import (
     window_inner_product,
     window_multiply,
     window_shift,
+    _coeffs_over,
 )
-from .modelspace import ModelBasis
+from .modelspace import ModelBasis, gram_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,15 +94,23 @@ def matrix_to_json(mat: OperatorMatrix) -> dict:
 # monomial-basis blocks (entries read straight off a symbol window)
 
 
+def _hankel_view(w: FourierWindow, first: int, rows: int, cols: int) -> np.ndarray:
+    """Read-only (rows, cols) view with entry (j, k) = w_hat(first + j + k).
+
+    All entries share one zero-padded coefficient vector.  Every block
+    below is a flip of this view: reversing the columns indexes the
+    entries by j - k (Toeplitz), reversing the rows by k - j (dual
+    Toeplitz), and reversing both by -j - k (Hankel).
+    """
+    return sliding_window_view(_coeffs_over(w, first, first + rows + cols - 2), cols)
+
+
 def toeplitz_matrix(phi: SymbolExpr, rows: int, cols: int, tol: float = 1e-12) -> OperatorMatrix:
     """T_phi on monomials: entry (j, k) = phi_hat(j - k), 0-based both ways."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     w = symbol_to_window(phi, -(cols - 1), rows - 1, tol)
-    a = np.empty((rows, cols), dtype=np.complex128)
-    for j in range(rows):
-        for k in range(cols):
-            a[j, k] = w.coeff_at(j - k)
+    a = _hankel_view(w, -(cols - 1), rows, cols)[:, ::-1]
     return OperatorMatrix(a, f"H2[z^0..z^{cols - 1}]", f"H2[z^0..z^{rows - 1}]", w.tail_bound)
 
 
@@ -110,14 +119,7 @@ def hankel_matrix(phi: SymbolExpr, out_rows: int, cols: int, tol: float = 1e-12)
     if tol <= 0:
         raise ValueError("tol must be positive")
     w = symbol_to_window(phi, -(out_rows + cols - 1), -1, tol)
-    return _hankel_from_window(w, out_rows, cols)
-
-
-def _hankel_from_window(w: FourierWindow, out_rows: int, cols: int) -> OperatorMatrix:
-    a = np.empty((out_rows, cols), dtype=np.complex128)
-    for j in range(1, out_rows + 1):
-        for k in range(cols):
-            a[j - 1, k] = w.coeff_at(-j - k)
+    a = _hankel_view(w, -(out_rows + cols - 1), out_rows, cols)[::-1, ::-1]
     return OperatorMatrix(a, f"H2[z^0..z^{cols - 1}]", f"H2-[zbar^1..zbar^{out_rows}]", w.tail_bound)
 
 
@@ -126,10 +128,7 @@ def dual_toeplitz_matrix(phi: SymbolExpr, size: int, tol: float = 1e-12) -> Oper
     if tol <= 0:
         raise ValueError("tol must be positive")
     w = symbol_to_window(phi, -(size - 1), size - 1, tol)
-    a = np.empty((size, size), dtype=np.complex128)
-    for j in range(1, size + 1):
-        for k in range(1, size + 1):
-            a[j - 1, k - 1] = w.coeff_at(k - j)
+    a = _hankel_view(w, -(size - 1), size, size)[::-1]
     label = f"H2-[zbar^1..zbar^{size}]"
     return OperatorMatrix(a, label, label, w.tail_bound)
 
@@ -148,29 +147,20 @@ def truncated_toeplitz(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -
     if tol <= 0:
         raise ValueError("tol must be positive")
     w = _symbol_window_for_basis(phi, basis, tol)
-    d = basis.dim
     images = [window_multiply(w, e) for e in basis.basis]
-    a = np.empty((d, d), dtype=np.complex128)
-    for j in range(d):
-        for k in range(d):
-            a[j, k] = window_inner_product(images[k], basis.basis[j])
+    a = window_inner_product(images, basis.basis)
     err = max(
         img.tail_bound * 1.0 + img.norm() * basis.max_tail() for img in images
     )
-    label = f"K_u(dim={d})"
+    label = f"K_u(dim={basis.dim})"
     return OperatorMatrix(a, label, label, err)
 
 
 def compressed_shift(basis: ModelBasis, tol: float = 1e-12) -> OperatorMatrix:
     """The compressed shift A_z; satisfies I - A* A = (S* u)(S* u)^*."""
-    d = basis.dim
-    a = np.empty((d, d), dtype=np.complex128)
-    shifted = [window_shift(e, 1) for e in basis.basis]
-    for j in range(d):
-        for k in range(d):
-            a[j, k] = window_inner_product(shifted[k], basis.basis[j])
+    a = window_inner_product([window_shift(e, 1) for e in basis.basis], basis.basis)
     err = 2.0 * basis.max_tail()
-    label = f"K_u(dim={d})"
+    label = f"K_u(dim={basis.dim})"
     return OperatorMatrix(a, label, label, err)
 
 
@@ -191,15 +181,6 @@ def corner_images(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12):
     return t_imgs, h_imgs
 
 
-def _gram(images) -> np.ndarray:
-    d = len(images)
-    g = np.empty((d, d), dtype=np.complex128)
-    for j in range(d):
-        for k in range(d):
-            g[j, k] = window_inner_product(images[k], images[j])
-    return g
-
-
 def corner_gram(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -> OperatorMatrix:
     """Gram matrix of the corner images; the matrix of B* B on the basis.
 
@@ -207,7 +188,7 @@ def corner_gram(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -> Opera
     by phi is an isometry of L^2.
     """
     t_imgs, h_imgs = corner_images(basis, phi, tol)
-    g = _gram(t_imgs) + _gram(h_imgs)
+    g = gram_matrix(t_imgs) + gram_matrix(h_imgs)
     err = max(
         2.0 * (t.tail_bound * max(t.norm(), 1.0) + h.tail_bound * max(h.norm(), 1.0))
         for t, h in zip(t_imgs, h_imgs)
@@ -224,6 +205,30 @@ def _kperp_labels(n: int) -> str:
     return f"uH2[z^0..z^{n - 1}] (+) H2-[zbar^1..zbar^{n}]"
 
 
+def _dtto_windows(u: BlaschkeProduct, phi: SymbolExpr, n: int, tol: float):
+    """Windows of phi, u phi and u conj(phi), whose coefficients fill the blocks."""
+    phi_w = symbol_to_window(phi, -2 * n, 2 * n, tol)
+    uw = u.window(tol)
+    return phi_w, window_multiply(uw, phi_w), window_multiply(uw, window_conjugate(phi_w))
+
+
+def _dtto_block(windows, n: int, m: int) -> OperatorMatrix:
+    """The blocks of D_phi on the first n input and m output coordinates of
+    each kind (analytic first):
+
+        [ T_phi          H_{u conj(phi)}^* ]
+        [ H_{u phi}      S_phi             ]
+    """
+    phi_w, u_phi, u_phibar = windows
+    a = np.empty((2 * m, 2 * n), dtype=np.complex128)
+    a[:m, :n] = _hankel_view(phi_w, -(n - 1), m, n)[:, ::-1]
+    np.conj(_hankel_view(u_phibar, -(m + n - 1), m, n)[::-1, ::-1], out=a[:m, n:])
+    a[m:, :n] = _hankel_view(u_phi, -(m + n - 1), m, n)[::-1, ::-1]
+    a[m:, n:] = _hankel_view(phi_w, -(m - 1), m, n)[::-1]
+    err = max(w.tail_bound for w in windows)
+    return OperatorMatrix(a, _kperp_labels(n), _kperp_labels(m), err)
+
+
 def dual_truncated_toeplitz(
     u: BlaschkeProduct, phi: SymbolExpr, n: int, tol: float = 1e-12
 ) -> OperatorMatrix:
@@ -238,27 +243,19 @@ def dual_truncated_toeplitz(
         raise ValueError("truncation size must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    phi_w = symbol_to_window(phi, -2 * n, 2 * n, tol)
-    uw = u.window(tol)
-    u_phi = window_multiply(uw, phi_w)
-    u_phibar = window_multiply(uw, window_conjugate(phi_w))
+    return _dtto_block(_dtto_windows(u, phi, n, tol), n, n)
 
-    a = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    for j in range(n):
-        for k in range(n):
-            a[j, k] = phi_w.coeff_at(j - k)
-    for k in range(n):  # H_{u conj(phi)}^*: out z^k, in zbar^i
-        for i in range(1, n + 1):
-            a[k, n + i - 1] = np.conj(u_phibar.coeff_at(-k - i))
-    for j in range(1, n + 1):  # H_{u phi}: out zbar^j, in z^k
-        for k in range(n):
-            a[n + j - 1, k] = u_phi.coeff_at(-j - k)
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            a[n + j - 1, n + i - 1] = phi_w.coeff_at(i - j)
-    err = max(phi_w.tail_bound, u_phi.tail_bound, u_phibar.tail_bound)
-    label = _kperp_labels(n)
-    return OperatorMatrix(a, label, label, err)
+
+def _dtto_rectangular(
+    u: BlaschkeProduct, phi: SymbolExpr, n: int, tol: float
+) -> OperatorMatrix:
+    """Rectangular block of the dual truncated Toeplitz operator: all 2n
+    input monomials, output window widened until the certified image tail
+    of every input basis vector is <= tol/sqrt(n)."""
+    col_tol = tol / np.sqrt(max(1, n))
+    windows = _dtto_windows(u, phi, n, col_tol / 2.0)
+    width = max(max(abs(w.lo), w.hi) for w in windows)
+    return _dtto_block(windows, n, n + width + 1)
 
 
 def conjugation_action(u: BlaschkeProduct, n: int, tol: float = 1e-12) -> OperatorMatrix:

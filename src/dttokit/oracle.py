@@ -21,14 +21,16 @@ from .fourier import (
     SumConst,
     SymbolClassError,
     SymbolExpr,
+    as_blaschke_quotient,
     constant_value,
     eval_symbol,
+    is_analytic,
     window_conjugate,
     window_multiply,
     symbol_to_window,
+    _divides,
 )
-from .operators import _hankel_from_window
-from .minmod import sigma_max
+from .operators import _hankel_view
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +142,9 @@ def ess_range(phi: SymbolExpr, resolution: int = 512) -> EssRangeModel:
     """Model the essential range of phi.
 
     Piecewise-constant symbols give a finite set with arc measures;
-    real-valued-plus-constant symbols give a segment with endpoints from
-    sampled extrema; other continuous variants give a sampled curve.
+    real-valued-plus-constant symbols give a segment whose endpoints are
+    the extrema at the critical points; other continuous variants give a
+    sampled curve.
     """
     core, c = _fold_constants(phi)
     if isinstance(core, PiecewiseArcs):
@@ -162,7 +165,15 @@ def ess_range(phi: SymbolExpr, resolution: int = 512) -> EssRangeModel:
     if isinstance(core, LaurentPoly):
         split = _hermitian_part_split(core)
         if split is not None:
-            thetas = np.linspace(0.0, 2.0 * np.pi, max(resolution, 64), endpoint=False)
+            # the extrema lie at critical points e^{it}: roots of the degree-2N
+            # polynomial sum_n n c_n z^{n+N}; a root off the circle still names
+            # a point of the circle, so extra roots cannot spoil min or max
+            coeffs, _ = split
+            big = max(abs(n) for n in coeffs)
+            dp = np.zeros(2 * big + 1, dtype=np.complex128)
+            for n, cn in coeffs.items():
+                dp[big - n] = n * cn
+            thetas = np.angle(np.roots(dp))
             vals = np.array([eval_symbol(core, t) for t in thetas]) + c
             re = vals.real
             im_const = 1j * vals.imag.mean()
@@ -278,9 +289,6 @@ def truncated_toeplitz_norm_hankel(
     (zero) when phi lies in u H-infinity, detected structurally for
     Blaschke-quotient symbols divisible by u.
     """
-    from .fourier import is_analytic
-    from .minmod import _divides
-
     if not is_analytic(phi):
         raise SymbolClassError("the Hankel norm route requires an analytic symbol")
     if isinstance(phi, BlaschkeQuotient) and _divides(u, phi):
@@ -288,8 +296,8 @@ def truncated_toeplitz_norm_hankel(
     uw = u.window(tol)
     phi_w = symbol_to_window(phi, -1, max(uw.hi, 2 * size), tol)
     w = window_multiply(window_conjugate(uw), phi_w)
-    h = _hankel_from_window(w, size, size)
-    return sigma_max(h)
+    h = _hankel_view(w, -(2 * size - 1), size, size)[::-1, ::-1]
+    return float(np.linalg.svd(h, compute_uv=False)[0])
 
 
 def oracle_constant_symbol(phi: SymbolExpr) -> Optional[float]:
@@ -297,4 +305,26 @@ def oracle_constant_symbol(phi: SymbolExpr) -> Optional[float]:
     c = constant_value(phi)
     if c is not None and abs(abs(c) - 1.0) <= 1e-12:
         return 1.0
+    return None
+
+
+def _symbol_is_plain_shift(phi: SymbolExpr) -> bool:
+    quot = as_blaschke_quotient(phi)
+    return quot is not None and quot.z_power == 1 and not quot.zeros
+
+
+def _oracle_for(u: Optional[BlaschkeProduct], phi: SymbolExpr) -> Optional[float]:
+    """The closed-form value of m(D_phi) when one applies, else None."""
+    v = oracle_constant_symbol(phi)
+    if v is not None:
+        return v
+    c = constant_value(phi)
+    if c is not None:
+        return abs(c)
+    if u is not None and _symbol_is_plain_shift(phi):
+        return oracle_m_dual_shift(u)
+    if u is not None:
+        quot = as_blaschke_quotient(phi)
+        if quot is not None and quot.z_power >= 0 and _divides(u, quot):
+            return 0.0
     return None

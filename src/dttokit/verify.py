@@ -43,7 +43,6 @@ from .operators import (
     truncated_toeplitz,
 )
 from .minmod import (
-    check_minmod_adjoint,
     galerkin_sweep,
     min_modulus_bounds,
     min_modulus_corner,
@@ -302,10 +301,10 @@ def build_catalog() -> List[CatalogItem]:
     sweep1 = galerkin_sweep(u_half, Z, [16, 64])
     add(CatalogItem("sweep-dual-shift-dim-one", sweep1[-1].value, oracle_m_dual_shift(u_half), 0.02))
 
-    chk = check_minmod_adjoint(compressed_shift(tm_basis(u_deg3)))
+    a3 = compressed_shift(tm_basis(u_deg3))
     target = oracle_m_compressed_shift(u_deg3)
-    add(CatalogItem("adjoint-minmod-compressed-shift", chk.sigma_min, target, 1e-9))
-    add(CatalogItem("adjoint-minmod-compressed-shift-star", chk.sigma_min_adjoint, target, 1e-9))
+    add(CatalogItem("adjoint-minmod-compressed-shift", sigma_min(a3), target, 1e-9))
+    add(CatalogItem("adjoint-minmod-compressed-shift-star", sigma_min(a3.adjoint()), target, 1e-9))
 
     # -- oracles ------------------------------------------------------------
     add(CatalogItem(
@@ -334,6 +333,11 @@ def build_catalog() -> List[CatalogItem]:
     lo_r, up_r, exact_r = normal_dtto_bounds(LaurentPoly(-1, [1.0, 3.0, 1.0]))
     add(CatalogItem("normal-bounds-real-symbol-lower", lo_r, 1.0, 1e-9))
     add(CatalogItem("normal-bounds-real-symbol-exact", float(exact_r), 1.0, 1e-9))
+
+    # 1 + cos(t - pi/512) vanishes between the angles of any 512-point grid
+    shift = np.exp(1j * np.pi / 512)
+    _, _, exact_sc = normal_dtto_bounds(LaurentPoly(-1, [0.5 * shift, 1.0, 0.5 / shift]))
+    add(CatalogItem("normal-bounds-shifted-cosine-exact", float(exact_sc), 0.0, 1e-12))
 
     add(CatalogItem(
         "nehari-own-symbol",

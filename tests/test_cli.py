@@ -178,11 +178,3 @@ def test_minmod_csv_output(capsys):
     fields = out[1].split(",")
     assert abs(float(fields[0]) - 0.5) < 1e-9
     assert fields[1] == "finite_exact"
-
-
-def test_threads_env_cap(monkeypatch, capsys):
-    monkeypatch.setenv("MINMOD_THREADS", "2")
-    code = main(["sweep", "--inner", U_HALF, "--symbol", PHI_Z, "--truncations", "4,8"])
-    assert code == 0
-    monkeypatch.setenv("MINMOD_THREADS", "zebra")
-    assert main(["sweep", "--inner", U_HALF, "--symbol", PHI_Z, "--truncations", "4,8"]) == 2

@@ -4,6 +4,7 @@ import pytest
 from dttokit import (
     BlaschkeProduct,
     BlaschkeQuotient,
+    FourierWindow,
     LaurentPoly,
     compressed_shift,
     conjugation_action,
@@ -23,7 +24,13 @@ from dttokit import (
     window_inner_product,
 )
 from dttokit.fourier import delta_window, window_shift, window_sub
-from dttokit.operators import OperatorMatrix, apply_conjugation, conjugate_sandwich
+from dttokit.operators import (
+    OperatorMatrix,
+    apply_conjugation,
+    conjugate_sandwich,
+    _dtto_rectangular,
+    _hankel_view,
+)
 from dttokit.oracle import oracle_rank_one_spectrum
 
 from conftest import random_blaschke, random_quotient
@@ -82,6 +89,68 @@ def test_dual_toeplitz_identity_and_shift():
     assert np.abs(q.entries[:, 0]).max() == 0.0
     qbar = dual_toeplitz_matrix(ZBAR, 5)
     assert np.array_equal(qbar.entries, q.entries.conj().T)
+
+
+# ---------------------------------------------------------------------------
+# index rules of the strided assembly, entry by entry through coeff_at
+
+# coefficients at -3..4 only: narrower than the index ranges of the larger blocks below
+PHI_NARROW = LaurentPoly(-3, [0.5j, -2.0, 1.0 + 1j, 3.0, -0.25, 2.0j, 1.5, -1.0 - 0.5j])
+
+
+def _coeff(phi: LaurentPoly):
+    return FourierWindow(phi.offset, phi.coeffs).coeff_at
+
+
+def test_strided_view_zero_pads_a_narrow_window():
+    w = FourierWindow(2, [1.0, 2.0j, 3.0])
+    for first in (-6, 0, 3, 9):
+        v = _hankel_view(w, first, 3, 4)
+        assert v.shape == (3, 4)
+        for j, k in np.ndindex(3, 4):
+            assert v[j, k] == w.coeff_at(first + j + k)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (2, 6), (7, 3)])
+def test_monomial_blocks_follow_their_index_rules(rows, cols):
+    c = _coeff(PHI_NARROW)
+    t = toeplitz_matrix(PHI_NARROW, rows, cols).entries
+    h = hankel_matrix(PHI_NARROW, rows, cols).entries
+    s = dual_toeplitz_matrix(PHI_NARROW, rows).entries
+    assert t.shape == h.shape == (rows, cols) and s.shape == (rows, rows)
+    for j, k in np.ndindex(rows, cols):
+        assert t[j, k] == c(j - k)
+        assert h[j, k] == c(-(j + 1) - k)
+    for j, k in np.ndindex(rows, rows):
+        assert s[j, k] == c(k - j)
+
+
+def _dtto_expected(phi: LaurentPoly, power: int, n: int, m: int) -> np.ndarray:
+    """D_phi rows for u = z^power: (u phi)(t) = phi(t - power) and
+    (u conj(phi))(t) = conj(phi(power - t))."""
+    c = _coeff(phi)
+    a = np.empty((2 * m, 2 * n), dtype=complex)
+    for j, k in np.ndindex(m, n):
+        a[j, k] = c(j - k)  # T_phi
+        a[j, n + k] = c(power + j + k + 1)  # H*_{u conj(phi)}: conj of (u conj(phi))(-j - (k + 1))
+        a[m + j, k] = c(-(j + 1) - k - power)  # H_{u phi}: (u phi)(-(j + 1) - k)
+        a[m + j, n + k] = c(k - j)  # S_phi
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_dtto_follows_its_index_rules_and_is_a_row_slice_of_the_rectangular_block(n):
+    u = BlaschkeProduct(1.0, (0.0, 0.0))
+    d = dual_truncated_toeplitz(u, PHI_NARROW, n).entries
+    assert np.array_equal(d, _dtto_expected(PHI_NARROW, 2, n, n))
+    r = _dtto_rectangular(u, PHI_NARROW, n, 1e-9).entries
+    m = r.shape[0] // 2
+    assert r.shape == (2 * m, 2 * n) and m > n
+    assert np.array_equal(r, _dtto_expected(PHI_NARROW, 2, n, m))
+    # the output rows reach every nonzero entry: further rows would be zero
+    wider = _dtto_expected(PHI_NARROW, 2, n, m + 4)
+    assert not wider[m : m + 4].any() and not wider[2 * m + 4 :].any()
+    assert np.array_equal(d, np.vstack([r[:n], r[m : m + n]]))
 
 
 # ---------------------------------------------------------------------------

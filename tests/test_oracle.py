@@ -154,6 +154,18 @@ def test_normal_bounds_real_symbol_collapse():
     assert lo2 < 1e-9 and up2 < 0.05 and exact2 == up2
 
 
+def test_normal_bounds_take_extrema_at_critical_points():
+    # 1 + cos(t - pi/512) vanishes between the angles of any 512-point grid
+    shift = np.exp(1j * np.pi / 512)
+    phi = LaurentPoly(-1, [0.5 * shift, 1.0, 0.5 / shift])
+    lo, up, exact = normal_dtto_bounds(phi)
+    assert exact <= 1e-12 and lo <= 1e-12 and up <= 1e-12
+    assert abs(ess_range(phi).points[1] - 2.0) < 1e-12
+    # 0.1 + 2 cos t + 0.6 cos 2t = 1.2 c^2 + 2c - 0.5 with c = cos t: range [-4/3, 2.7]
+    seg = ess_range(LaurentPoly(-2, [0.3, 1.0, 0.1, 1.0, 0.3])).points
+    assert abs(seg[0] + 4.0 / 3.0) < 1e-12 and abs(seg[1] - 2.7) < 1e-12
+
+
 def test_normal_bounds_ordering_random_offsets(rng):
     for beta in (0.3 + 1j, -2 + 0.25j, 1j):
         lo, up, _ = normal_dtto_bounds(SumConst(STEP, beta))
