@@ -62,7 +62,6 @@ from .minmod import (
     galerkin_sweep,
     min_modulus_bounds,
     min_modulus_corner,
-    min_modulus_inner_symbol,
     min_modulus_toeplitz_hankel,
     min_modulus_unimodular,
     reduced_min_modulus,
@@ -71,7 +70,6 @@ from .minmod import (
 from .oracle import (
     EssRangeModel,
     ess_range,
-    hull_distance_from_origin,
     normal_dtto_bounds,
     oracle_constant_symbol,
     oracle_m_compressed_shift,

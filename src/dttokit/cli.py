@@ -8,7 +8,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from .fourier import (
@@ -71,11 +71,17 @@ def _load_json_arg(text: str) -> dict:
 
 
 def _report_dict(rep: MinModReport, quantity: str, oracle: Optional[float]) -> dict:
-    d = rep.to_dict()
     if oracle is not None:
-        d["oracle"] = oracle
-        d["discrepancy"] = abs(rep.value - oracle)
-    d["quantity"] = quantity
+        rep = replace(rep, oracle_value=oracle)
+    return {**rep.to_dict(), "quantity": quantity}
+
+
+def _bounds_report(phi: SymbolExpr, oracle: Optional[float]) -> dict:
+    """Essential-range bounds for a symbol of the normal sufficient form."""
+    lower, upper, exact = normal_dtto_bounds(phi)
+    rep = MinModReport(exact if exact is not None else lower, "oracle")
+    d = _report_dict(rep, "m(D_phi)", oracle)
+    d["bounds"] = {"lower": lower, "upper": upper, "exact": exact}
     return d
 
 
@@ -104,19 +110,15 @@ def dispatch_minmod(
 
     c = constant_value(phi)
     if c is not None and force_method != "finite_exact":
-        rep = MinModReport(abs(c), "oracle", None, 0.0, oracle)
+        rep = MinModReport(abs(c), "oracle")
         return _report_dict(rep, "m(D_phi)", oracle)
 
     if force_method == "oracle":
         if is_normal_sufficient_form(phi):
-            lower, upper, exact = normal_dtto_bounds(phi)
-            rep = MinModReport(exact if exact is not None else lower, "oracle", None, 0.0, oracle)
-            d = _report_dict(rep, "m(D_phi)", oracle)
-            d["bounds"] = {"lower": lower, "upper": upper, "exact": exact}
-            return d
+            return _bounds_report(phi, oracle)
         if oracle is None:
             raise SymbolClassError("no closed-form oracle applies to this symbol")
-        rep = MinModReport(oracle, "oracle", None, 0.0, oracle)
+        rep = MinModReport(oracle, "oracle")
         return _report_dict(rep, "m(D_phi)", oracle)
 
     if is_unimodular(phi):
@@ -140,12 +142,7 @@ def dispatch_minmod(
         return _report_dict(rep, "m(B_phi)", oracle)
 
     if is_normal_sufficient_form(phi):
-        lower, upper, exact = normal_dtto_bounds(phi)
-        value = exact if exact is not None else lower
-        rep = MinModReport(value, "oracle", None, 0.0, oracle)
-        d = _report_dict(rep, "m(D_phi)", oracle)
-        d["bounds"] = {"lower": lower, "upper": upper, "exact": exact}
-        return d
+        return _bounds_report(phi, oracle)
 
     raise SymbolClassError(
         "no applicable method; supported classes: constant, unimodular "

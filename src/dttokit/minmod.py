@@ -17,16 +17,11 @@ import numpy as np
 
 from .fourier import (
     BlaschkeProduct,
-    BlaschkeQuotient,
     SymbolClassError,
     SymbolExpr,
     conjugated,
     is_analytic,
     is_unimodular,
-    project_analytic,
-    symbol_to_window,
-    window_multiply,
-    _divides,
 )
 from .modelspace import ModelBasis, gram_matrix, tm_basis
 from .operators import (
@@ -35,6 +30,8 @@ from .operators import (
     corner_gram,
     truncated_toeplitz,
     _dtto_rectangular,
+    _symbol_window_for_basis,
+    _toeplitz_corner_images,
 )
 from .oracle import truncated_toeplitz_norm_hankel
 
@@ -213,34 +210,12 @@ def min_modulus_corner(
             h = truncated_toeplitz_norm_hankel(u, phi, size=basis.window_width() + 16, tol=tol)
             oracle = float(np.sqrt(max(0.0, 1.0 - h * h)))
         return MinModReport(value, "finite_exact", None, a.sv_perturbation(), oracle)
-    t_imgs, _ = corner_images(basis, phi, tol)
+    t_imgs = _toeplitz_corner_images(basis, _symbol_window_for_basis(phi, basis, tol), tol)
     g = gram_matrix(t_imgs)
     lam_min = float(np.linalg.eigvalsh(g)[0])
     value = float(np.sqrt(max(0.0, lam_min)))
     err = max(img.tail_bound for img in t_imgs) * 2.0 * basis.dim
     return MinModReport(value, "finite_exact", None, err)
-
-
-def min_modulus_inner_symbol(
-    u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12, basis: Optional[ModelBasis] = None
-) -> MinModReport:
-    """m(D_phi) for an inner symbol: m(T_{conj(phi)} restricted to K_u).
-
-    When every zero of u appears in phi (with multiplicity) the value is
-    exactly 0 by divisibility; the report then carries method ``oracle``.
-    """
-    _require_nonconstant(u)
-    if not isinstance(phi, BlaschkeQuotient) or phi.z_power < 0:
-        raise SymbolClassError("inner-symbol route requires a Blaschke-quotient inner function")
-    if _divides(u, phi):
-        return MinModReport(0.0, "oracle", None, 0.0, 0.0)
-    if basis is None:
-        basis = tm_basis(u, tol)
-    phibar_w = symbol_to_window(conjugated(phi), -basis.window_width() - 1, basis.window_width() + 1, tol)
-    imgs = [project_analytic(window_multiply(phibar_w, e)) for e in basis.basis]
-    lam_min = float(np.linalg.eigvalsh(gram_matrix(imgs))[0])
-    err = max(img.tail_bound for img in imgs) * 2.0 * basis.dim
-    return MinModReport(float(np.sqrt(max(0.0, lam_min))), "finite_exact", None, err)
 
 
 # ---------------------------------------------------------------------------

@@ -45,20 +45,6 @@ class ModelBasis:
     def max_tail(self) -> float:
         return max(e.tail_bound for e in self.basis)
 
-    def to_json(self) -> dict:
-        # debugging aid, not a stability-guaranteed format
-        return {
-            "dim": self.dim,
-            "windows": [
-                {
-                    "offset": e.offset,
-                    "coeffs": [[c.real, c.imag] for c in e.coeffs],
-                    "tail": e.tail_bound,
-                }
-                for e in self.basis
-            ],
-        }
-
 
 def _build_windows(u: BlaschkeProduct, tol: float) -> list:
     budget = tol / (2.0 * (u.degree + 1))

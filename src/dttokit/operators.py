@@ -173,12 +173,16 @@ def corner_images(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    uw = basis.inner.window(tol)
     phi_w = _symbol_window_for_basis(phi, basis, tol)
-    ubar_phi = window_multiply(window_conjugate(uw), phi_w)
-    t_imgs = [project_analytic(window_multiply(ubar_phi, e)) for e in basis.basis]
+    t_imgs = _toeplitz_corner_images(basis, phi_w, tol)
     h_imgs = [project_antianalytic(window_multiply(phi_w, e)) for e in basis.basis]
     return t_imgs, h_imgs
+
+
+def _toeplitz_corner_images(basis: ModelBasis, phi_w: FourierWindow, tol: float):
+    """Images T_{conj(u) phi} e_k = P(conj(u) phi e_k), given the window of phi."""
+    ubar_phi = window_multiply(window_conjugate(basis.inner.window(tol)), phi_w)
+    return [project_analytic(window_multiply(ubar_phi, e)) for e in basis.basis]
 
 
 def corner_gram(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -> OperatorMatrix:
@@ -274,11 +278,6 @@ def conjugation_action(u: BlaschkeProduct, n: int, tol: float = 1e-12) -> Operat
     m[n:, :n] = eye
     label = _kperp_labels(n)
     return OperatorMatrix(m, label, label, 0.0)
-
-
-def apply_conjugation(conj_mat: OperatorMatrix, vec: np.ndarray) -> np.ndarray:
-    """Apply the antilinear conjugation: x -> M conj(x)."""
-    return conj_mat.entries @ np.conj(np.asarray(vec, dtype=np.complex128))
 
 
 def conjugate_sandwich(conj_mat: OperatorMatrix, mat: OperatorMatrix) -> np.ndarray:

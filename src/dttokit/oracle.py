@@ -8,7 +8,7 @@ Hankel (Nehari) route to truncated Toeplitz norms.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -71,11 +71,10 @@ def oracle_m_dual_shift(u: BlaschkeProduct) -> float:
 
 @dataclass(frozen=True)
 class EssRangeModel:
-    """Computable model of an essential range.
+    """Computable model of an essential range on one horizontal line.
 
     kind = finite_set: distinct points with positive arc measures;
-    kind = segment: two endpoints (a line segment in C);
-    kind = sampled_curve: >= 64 samples of a continuous symbol.
+    kind = segment: two endpoints (a line segment in C).
     """
 
     kind: str
@@ -85,7 +84,7 @@ class EssRangeModel:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.complex128)
         object.__setattr__(self, "points", pts)
-        if self.kind not in ("finite_set", "segment", "sampled_curve"):
+        if self.kind not in ("finite_set", "segment"):
             raise ValueError(f"unknown essential-range kind: {self.kind!r}")
         if self.kind == "finite_set":
             if self.measures is None or len(self.measures) != len(pts):
@@ -94,24 +93,28 @@ class EssRangeModel:
                 raise ValueError("measures must be positive")
         if self.kind == "segment" and len(pts) != 2:
             raise ValueError("segment needs exactly two endpoints")
-        if self.kind == "sampled_curve" and len(pts) < 64:
-            raise ValueError("sampled_curve needs at least 64 samples")
 
     def is_convex(self) -> bool:
         return self.kind == "segment" or (self.kind == "finite_set" and len(self.points) == 1)
 
 
-def _fold_constants(phi: SymbolExpr):
-    """Strip Sum-with-constant wrappers, returning (core, total constant)."""
-    c = 0.0 + 0.0j
-    while isinstance(phi, SumConst):
-        c += complex(phi.constant)
-        phi = phi.term
-    return phi, c
+def _fold_wrappers(phi: SymbolExpr):
+    """Strip SumConst and Conjugate wrappers to any depth.
+
+    Returns (core, c, odd) with phi = (conj(core) if odd else core) + c.
+    """
+    c, odd = 0.0 + 0.0j, False
+    while isinstance(phi, (SumConst, Conjugate)):
+        if isinstance(phi, Conjugate):
+            odd, phi = not odd, phi.of
+        else:
+            c += np.conj(phi.constant) if odd else complex(phi.constant)
+            phi = phi.term
+    return phi, c, odd
 
 
 def _hermitian_part_split(phi: LaurentPoly):
-    """If phi = (real-valued trig polynomial) + constant, return (poly, beta)."""
+    """If phi = (real-valued trig polynomial) + i beta, return (coeffs, beta)."""
     n0 = phi.offset
     coeffs = {n0 + j: phi.coeffs[j] for j in range(len(phi.coeffs)) if phi.coeffs[j] != 0}
     for n, c in coeffs.items():
@@ -119,157 +122,96 @@ def _hermitian_part_split(phi: LaurentPoly):
             continue
         if abs(np.conj(coeffs.get(-n, 0.0)) - c) > 1e-12:
             return None
-    beta = 1j * coeffs.get(0, 0.0 + 0.0j).imag
-    return coeffs, beta
+    return coeffs, coeffs.get(0, 0.0 + 0.0j).imag
+
+
+def _normal_split(phi: SymbolExpr):
+    """(core, c, odd, beta) when the folded core is real-valued + i beta, else None."""
+    core, c, odd = _fold_wrappers(phi)
+    v = constant_value(core)
+    if v is not None:
+        return core, c, odd, v.imag
+    if isinstance(core, PiecewiseArcs):
+        imags = [v.imag for _, _, v in core.arcs]
+        return (core, c, odd, imags[0]) if max(imags) - min(imags) <= 1e-12 else None
+    if isinstance(core, LaurentPoly):
+        split = _hermitian_part_split(core)
+        return None if split is None else (core, c, odd, split[1])
+    return None
 
 
 def is_normal_sufficient_form(phi: SymbolExpr) -> bool:
-    """Sufficient condition for a normal operator: phi = real-valued + constant."""
-    core, _ = _fold_constants(phi)
-    if constant_value(core) is not None:
-        return True
-    if isinstance(core, PiecewiseArcs):
-        imags = [v.imag for _, _, v in core.arcs]
-        return max(imags) - min(imags) <= 1e-12
-    if isinstance(core, LaurentPoly):
-        return _hermitian_part_split(core) is not None
-    if isinstance(core, Conjugate):
-        return is_normal_sufficient_form(core.of)
-    return False
+    """Sufficient condition for a normal operator: phi = real-valued + constant,
+    under any nesting of conjugations and added constants."""
+    return _normal_split(phi) is not None
 
 
-def ess_range(phi: SymbolExpr, resolution: int = 512) -> EssRangeModel:
-    """Model the essential range of phi.
+def ess_range(phi: SymbolExpr) -> EssRangeModel:
+    """Model the essential range of a symbol of the recognized normal form.
 
-    Piecewise-constant symbols give a finite set with arc measures;
-    real-valued-plus-constant symbols give a segment whose endpoints are
-    the extrema at the critical points; other continuous variants give a
-    sampled curve.
+    The folded core is real-valued plus i beta, so the range lies on the
+    line Im = +-beta + Im(c), with the sign flipped under an odd number of
+    conjugations.  Piecewise-constant and constant symbols give a finite
+    set with arc measures; real trig polynomials give a segment whose
+    endpoints are the extrema at the critical points.  Anything else
+    raises SymbolClassError.
     """
-    core, c = _fold_constants(phi)
+    split = _normal_split(phi)
+    if split is None:
+        raise SymbolClassError(
+            "symbol is not of the recognized normal form (real-valued + constant)"
+        )
+    core, c, odd, beta = split
+    height = 1j * ((-beta if odd else beta) + c.imag)
+    v = constant_value(core)
+    if v is not None:
+        return EssRangeModel("finite_set", np.array([v.real + c.real + height]), np.array([2.0 * np.pi]))
     if isinstance(core, PiecewiseArcs):
         pts = []
         meas = []
         for t0, t1, v in core.arcs:
-            val = v + c
+            val = v.real + c.real
             hit = next((i for i, p in enumerate(pts) if abs(p - val) <= 1e-12), None)
             if hit is None:
                 pts.append(val)
                 meas.append(t1 - t0)
             else:
                 meas[hit] += t1 - t0
-        return EssRangeModel("finite_set", np.array(pts), np.array(meas))
-    cv = constant_value(phi)
-    if cv is not None:
-        return EssRangeModel("finite_set", np.array([cv]), np.array([2.0 * np.pi]))
-    if isinstance(core, LaurentPoly):
-        split = _hermitian_part_split(core)
-        if split is not None:
-            # the extrema lie at critical points e^{it}: roots of the degree-2N
-            # polynomial sum_n n c_n z^{n+N}; a root off the circle still names
-            # a point of the circle, so extra roots cannot spoil min or max
-            coeffs, _ = split
-            big = max(abs(n) for n in coeffs)
-            dp = np.zeros(2 * big + 1, dtype=np.complex128)
-            for n, cn in coeffs.items():
-                dp[big - n] = n * cn
-            thetas = np.angle(np.roots(dp))
-            vals = np.array([eval_symbol(core, t) for t in thetas]) + c
-            re = vals.real
-            im_const = 1j * vals.imag.mean()
-            return EssRangeModel(
-                "segment", np.array([re.min() + im_const, re.max() + im_const])
-            )
-    if resolution < 64:
-        raise ValueError("sampled_curve resolution must be at least 64")
-    thetas = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    vals = np.array([eval_symbol(phi, t) for t in thetas])
-    return EssRangeModel("sampled_curve", vals)
+        return EssRangeModel("finite_set", np.array(pts) + height, np.array(meas))
+    # the extrema lie at critical points e^{it}: roots of the degree-2N
+    # polynomial sum_n n c_n z^{n+N}; a root off the circle still names
+    # a point of the circle, so extra roots cannot spoil min or max
+    coeffs = _hermitian_part_split(core)[0]
+    big = max(abs(n) for n in coeffs)
+    dp = np.zeros(2 * big + 1, dtype=np.complex128)
+    for n, cn in coeffs.items():
+        dp[big - n] = n * cn
+    # a term below roundoff of the largest moves no extremum by more than
+    # roundoff, and dividing by it could overflow the companion matrix
+    dp /= np.abs(dp).max()
+    dp[np.abs(dp) < 1e-16] = 0.0
+    thetas = np.angle(np.roots(dp))
+    re = np.array([eval_symbol(core, t).real for t in thetas]) + c.real
+    return EssRangeModel("segment", np.array([re.min(), re.max()]) + height)
 
 
-# ---------------------------------------------------------------------------
-# planar convex hull (monotone chain) and distance from the origin
-
-
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull_2d(points: Sequence) -> list:
-    """Convex hull by monotone chain; collinear inputs collapse to a segment."""
-    pts = sorted({(float(p[0]), float(p[1])) for p in points})
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all points collinear: keep the extremes
-        return [pts[0], pts[-1]]
-    return hull
-
-
-def _segment_distance(p, q) -> float:
-    px, py = p
-    qx, qy = q
-    dx, dy = qx - px, qy - py
-    dd = dx * dx + dy * dy
-    if dd == 0.0:
-        return float(np.hypot(px, py))
-    t = max(0.0, min(1.0, (-px * dx - py * dy) / dd))
-    return float(np.hypot(px + t * dx, py + t * dy))
-
-
-def hull_distance_from_origin(points: Sequence[complex]) -> float:
-    """Distance from 0 to the convex hull of a finite planar point set."""
-    pl = [(p.real, p.imag) for p in np.asarray(points, dtype=np.complex128)]
-    hull = convex_hull_2d(pl)
-    if len(hull) == 1:
-        return float(np.hypot(*hull[0]))
-    if len(hull) == 2:
-        return _segment_distance(hull[0], hull[1])
-    inside = all(
-        _cross(hull[i], hull[(i + 1) % len(hull)], (0.0, 0.0)) >= 0 for i in range(len(hull))
-    )
-    if inside:
-        return 0.0
-    return min(
-        _segment_distance(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))
-    )
-
-
-def normal_dtto_bounds(phi: SymbolExpr, resolution: int = 512, assume_normal: bool = False):
+def normal_dtto_bounds(phi: SymbolExpr):
     """Bounds on m(D_phi) for a normal dual truncated Toeplitz operator.
 
     Returns (lower, upper, exact): lower is the distance from 0 to the
-    convex hull of the essential range, upper the essential infimum of
-    |phi|, and exact is set when the modeled range is convex (a segment
-    or a single point), in which case m(D_phi) = upper.
+    convex hull of the essential range, which is the segment
+    [min Re, max Re] + i Im of the range's line; upper is the essential
+    infimum of |phi|; exact is set when the modeled range is convex (a
+    segment or a single point), in which case m(D_phi) = upper.
 
     Only the sufficient normality form "real-valued symbol plus a complex
-    constant" is recognized; pass assume_normal=True to assert normality
-    for anything else.
+    constant" is recognized, under any nesting of conjugations and added
+    constants; anything else raises SymbolClassError.
     """
-    if not assume_normal and not is_normal_sufficient_form(phi):
-        raise SymbolClassError(
-            "symbol is not of the recognized normal form (real-valued + constant); "
-            "pass assume_normal=True to override"
-        )
-    model = ess_range(phi, resolution)
-    if model.kind == "segment":
-        p, q = model.points
-        lower = _segment_distance((p.real, p.imag), (q.real, q.imag))
-        upper = lower
-    else:
-        lower = hull_distance_from_origin(model.points)
-        upper = float(np.min(np.abs(model.points)))
+    model = ess_range(phi)
+    re, height = model.points.real, model.points[0].imag
+    lower = float(np.hypot(np.clip(0.0, re.min(), re.max()), height))
+    upper = lower if model.kind == "segment" else float(np.hypot(re, height).min())
     exact = upper if model.is_convex() else None
     return lower, upper, exact
 

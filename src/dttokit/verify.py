@@ -18,7 +18,6 @@ from .fourier import (
     LaurentPoly,
     PiecewiseArcs,
     SumConst,
-    blaschke_factor_coeffs,
     constant_symbol,
     conjugated,
     delta_window,
@@ -46,7 +45,6 @@ from .minmod import (
     galerkin_sweep,
     min_modulus_bounds,
     min_modulus_corner,
-    min_modulus_inner_symbol,
     min_modulus_toeplitz_hankel,
     min_modulus_unimodular,
     reduced_min_modulus,
@@ -287,13 +285,6 @@ def build_catalog() -> List[CatalogItem]:
     ra = min_modulus_unimodular(BlaschkeProduct(1.0, (0.2,)), Z).value
     add(CatalogItem("corner-shift-pythagoras", rb.value**2 + ra**2, 1.0, 1e-10))
 
-    add(CatalogItem(
-        "inner-symbol-divisible",
-        min_modulus_inner_symbol(u_deg2, inner_symbol(u_deg2)).value,
-        0.0,
-        1e-14,
-    ))
-
     sweep2 = galerkin_sweep(u_deg2, Z, [16, 64])
     add(CatalogItem("sweep-dual-shift-nonzero", sweep2[-1].value, oracle_m_dual_shift(u_deg2), 0.02))
     sweep0 = galerkin_sweep(u_z2, Z, [16, 64])
@@ -336,8 +327,11 @@ def build_catalog() -> List[CatalogItem]:
 
     # 1 + cos(t - pi/512) vanishes between the angles of any 512-point grid
     shift = np.exp(1j * np.pi / 512)
-    _, _, exact_sc = normal_dtto_bounds(LaurentPoly(-1, [0.5 * shift, 1.0, 0.5 / shift]))
+    shifted_cosine = LaurentPoly(-1, [0.5 * shift, 1.0, 0.5 / shift])
+    _, _, exact_sc = normal_dtto_bounds(shifted_cosine)
     add(CatalogItem("normal-bounds-shifted-cosine-exact", float(exact_sc), 0.0, 1e-12))
+    _, _, exact_csc = normal_dtto_bounds(Conjugate(shifted_cosine))
+    add(CatalogItem("normal-bounds-conjugate-shifted-cosine-exact", float(exact_csc), 0.0, 1e-12))
 
     add(CatalogItem(
         "nehari-own-symbol",
@@ -370,6 +364,12 @@ def build_catalog() -> List[CatalogItem]:
     rep3 = dispatch_minmod(None, SumConst(STEP, 3j))
     add(CatalogItem("dispatch-step-lower", float(rep3["bounds"]["lower"]), 3.0, 1e-12))
     add(CatalogItem("dispatch-step-upper", float(rep3["bounds"]["upper"]), float(np.sqrt(10.0)), 1e-12))
+    add(CatalogItem(
+        "inner-symbol-divisible",
+        float(dispatch_minmod(u_deg2, inner_symbol(u_deg2), force_method="oracle")["value"]),
+        0.0,
+        1e-14,
+    ))
 
     return items
 

@@ -44,6 +44,16 @@ def test_minmod_step_bounds(capsys):
     assert out["method"] == "oracle"
 
 
+def test_minmod_conjugated_step_bounds(capsys):
+    # conj(step + 3i) = step - 3i: the range {-1 - 3i, 1 - 3i}
+    code = main(["minmod", "--symbol", '{"kind": "conjugate", "of": ' + STEP_3I + "}"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert abs(out["bounds"]["lower"] - 3.0) < 1e-12
+    assert abs(out["bounds"]["upper"] - np.sqrt(10.0)) < 1e-12
+    assert out["bounds"]["exact"] is None
+
+
 def test_minmod_constant_symbol(capsys):
     code = main(["minmod", "--symbol", '{"kind": "laurent", "offset": 0, "coeffs": [[0, 1]]}'])
     out = json.loads(capsys.readouterr().out)

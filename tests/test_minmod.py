@@ -7,14 +7,12 @@ from dttokit import (
     Conjugate,
     SymbolClassError,
     compressed_shift,
-    conjugated,
     constant_symbol,
     dual_toeplitz_matrix,
     galerkin_sweep,
     inner_symbol,
     min_modulus_bounds,
     min_modulus_corner,
-    min_modulus_inner_symbol,
     min_modulus_toeplitz_hankel,
     min_modulus_unimodular,
     reduced_min_modulus,
@@ -22,9 +20,10 @@ from dttokit import (
     sigma_min,
     tm_basis,
 )
+from dttokit.cli import dispatch_minmod
 from dttokit.minmod import MinModReport
 from dttokit.operators import OperatorMatrix
-from dttokit.oracle import oracle_m_compressed_shift, oracle_m_dual_shift
+from dttokit.oracle import oracle_m_compressed_shift
 
 from conftest import random_blaschke, random_quotient
 
@@ -227,36 +226,23 @@ def test_corner_rejects_other_classes():
 
 
 # ---------------------------------------------------------------------------
-# inner-symbol route
+# inner symbols
 
 
 def test_inner_symbol_divisible_certificate(rng):
     u = random_blaschke(rng, max_degree=3, max_modulus=0.8)
     extra = BlaschkeQuotient(1.0, 1, u.zeros + (0.1,))
-    rep = min_modulus_inner_symbol(u, extra)
-    assert rep.value == 0.0 and rep.method == "oracle"
-
-
-def test_inner_symbol_shift_on_monomial_space():
-    rep = min_modulus_inner_symbol(BlaschkeProduct(1.0, (0.0, 0.0)), BlaschkeQuotient(1.0, 1, ()))
-    assert rep.value < 1e-12
+    rep = dispatch_minmod(u, extra, force_method="oracle")
+    assert rep["value"] == 0.0 and rep["method"] == "oracle" and rep["oracle"] == 0.0
 
 
 def test_inner_symbol_dim_one_cross_check():
     # 1x1 case: the value is |b_mu(lam)| by the kernel eigenvector identity
     lam, mu = 0.5, 0.3
     u = BlaschkeProduct(1.0, (lam,))
-    rep = min_modulus_inner_symbol(u, BlaschkeQuotient(1.0, 0, (mu,)))
     expected = abs((lam - mu) / (1 - mu * lam))
-    assert abs(rep.value - expected) < 1e-10
     cross = min_modulus_unimodular(u, BlaschkeQuotient(1.0, 0, (mu,)))
     assert abs(cross.value - expected) < 1e-10
-
-
-def test_inner_symbol_rejects_conjugates():
-    u = BlaschkeProduct(1.0, (0.5,))
-    with pytest.raises(SymbolClassError):
-        min_modulus_inner_symbol(u, BlaschkeQuotient(1.0, -1, (0.3,)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dttokit import (
     BlaschkeProduct,
@@ -11,7 +12,6 @@ from dttokit import (
     SymbolClassError,
     constant_symbol,
     ess_range,
-    hull_distance_from_origin,
     inner_symbol,
     normal_dtto_bounds,
     oracle_constant_symbol,
@@ -93,39 +93,41 @@ def test_ess_range_constant_single_point():
     assert len(model.points) == 1 and model.points[0] == 2 + 1j
 
 
-def test_ess_range_sampled_curve_and_resolution_guard():
-    phi = BlaschkeQuotient(1.0, 1, (0.5,))
-    model = ess_range(phi, 128)
-    assert model.kind == "sampled_curve" and len(model.points) == 128
-    with pytest.raises(ValueError):
-        ess_range(phi, 32)
-
-
 # ---------------------------------------------------------------------------
-# convex hull distance
+# distance from 0 to the convex hull of the range (a segment on its line)
+
+
+def _piecewise(*values):
+    n = len(values)
+    return PiecewiseArcs(
+        tuple((2 * np.pi * k / n, 2 * np.pi * (k + 1) / n, v) for k, v in enumerate(values))
+    )
 
 
 def test_hull_distance_single_point():
-    p = 3 + 4j
-    assert abs(hull_distance_from_origin([p]) - 5.0) < 1e-15
+    lo, up, exact = normal_dtto_bounds(constant_symbol(3 + 4j))
+    assert abs(lo - 5.0) < 1e-15 and abs(up - 5.0) < 1e-15 and abs(exact - 5.0) < 1e-15
 
 
 def test_hull_distance_symmetric_pair_projection_formula():
     # {-a + c, a + c} with c orthogonal to a: distance is |c|
     for a, c in ((1.0, 3j), (2.0, 1j), (0.5, -2j)):
-        pts = [-a + c, a + c]
-        assert abs(hull_distance_from_origin(pts) - abs(c)) < 1e-14
+        lo, up, _ = normal_dtto_bounds(SumConst(_piecewise(-a, a), c))
+        assert abs(lo - abs(c)) < 1e-14
+        assert abs(up - abs(a + c)) < 1e-14
 
 
 def test_hull_distance_containing_origin():
-    pts = [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]
-    assert hull_distance_from_origin(pts) == 0.0
+    assert normal_dtto_bounds(_piecewise(-1.0, 0.5, 1.0))[0] == 0.0
+    assert normal_dtto_bounds(LaurentPoly(-1, [1.0, 0.0, 1.0]))[0] == 0.0
 
 
 def test_hull_distance_polygon_edge():
-    pts = [1 + 1j, 2 + 1j, 1 + 2j, 2 + 2j]
-    # nearest point of the hull is the corner 1 + 1j
-    assert abs(hull_distance_from_origin(pts) - np.sqrt(2)) < 1e-14
+    # range {1 + 1j, 2 + 1j, 1.5 + 1j}: the nearest point of the hull is the end 1 + 1j
+    for phi in (_piecewise(1 + 1j, 2 + 1j, 1.5 + 1j), SumConst(_piecewise(0.0, 1.0, 0.5), 1 + 1j)):
+        lo, up, exact = normal_dtto_bounds(phi)
+        assert abs(lo - np.sqrt(2)) < 1e-14 and abs(up - np.sqrt(2)) < 1e-14
+        assert exact is None
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +175,16 @@ def test_normal_bounds_ordering_random_offsets(rng):
 
 
 def test_normal_bounds_rejects_unrecognized_form():
-    with pytest.raises(SymbolClassError):
-        normal_dtto_bounds(BlaschkeQuotient(1.0, 1, (0.5,)))
-    # caller override samples the curve instead
-    lo, up, exact = normal_dtto_bounds(BlaschkeQuotient(1.0, 1, ()), assume_normal=True)
-    assert abs(lo - 0.0) < 1e-12 and abs(up - 1.0) < 1e-12 and exact is None
+    for phi in (
+        BlaschkeQuotient(1.0, 1, (0.5,)),
+        Conjugate(SumConst(BlaschkeQuotient(1.0, 1, ()), 2.0)),
+        _piecewise(1.0, 1j),
+    ):
+        assert not is_normal_sufficient_form(phi)
+        with pytest.raises(SymbolClassError):
+            ess_range(phi)
+        with pytest.raises(SymbolClassError):
+            normal_dtto_bounds(phi)
 
 
 def test_normal_form_recognition():
@@ -185,6 +192,7 @@ def test_normal_form_recognition():
     assert is_normal_sufficient_form(LaurentPoly(-1, [1.0, 2j, 1.0]))
     assert is_normal_sufficient_form(constant_symbol(5j))
     assert is_normal_sufficient_form(Conjugate(LaurentPoly(-1, [1.0, 2j, 1.0])))
+    assert is_normal_sufficient_form(SumConst(Conjugate(SumConst(STEP, 1j)), 2.0))
     assert not is_normal_sufficient_form(LaurentPoly(-1, [1.0, 0.0, 2.0]))
     assert not is_normal_sufficient_form(BlaschkeQuotient(1.0, 1, (0.5,)))
 
@@ -234,3 +242,74 @@ def test_constant_symbol_oracle():
     assert oracle_constant_symbol(BlaschkeQuotient(1.0, 0, (0.3,))) is None
     assert oracle_constant_symbol(BlaschkeQuotient(-1j, 0, ())) == 1.0
     assert oracle_constant_symbol(constant_symbol(2.0)) is None
+
+
+# ---------------------------------------------------------------------------
+# property: conjugations and added constants fold away at any depth
+
+_reals = st.floats(-3.0, 3.0, allow_nan=False)
+_complexes = st.builds(complex, _reals, _reals)
+
+
+@st.composite
+def _real_cores(draw):
+    """A real Laurent polynomial, a real piecewise symbol with arc endpoints
+    at 0 and pi, or a constant."""
+    kind = draw(st.sampled_from(("laurent", "piecewise", "constant")))
+    if kind == "laurent":
+        n = draw(st.integers(1, 3))
+        pos = [draw(_complexes) for _ in range(n)]
+        coeffs = [np.conj(c) for c in pos[::-1]] + [draw(_reals)] + pos
+        return LaurentPoly(-n, coeffs)
+    if kind == "piecewise":
+        return PiecewiseArcs(((0.0, np.pi, draw(_reals)), (np.pi, 2 * np.pi, draw(_reals))))
+    return constant_symbol(draw(_complexes))
+
+
+_wrappers = st.lists(st.one_of(st.just(None), _complexes), max_size=6)
+
+
+def _wrap(core, wrappers):
+    """Apply wrappers innermost first: None is Conjugate, a number is SumConst."""
+    phi = core
+    for w in wrappers:
+        phi = Conjugate(phi) if w is None else SumConst(phi, w)
+    return phi
+
+
+def _conj_by_hand(core):
+    if isinstance(core, LaurentPoly):
+        return LaurentPoly(-(core.offset + len(core.coeffs) - 1), np.conj(core.coeffs[::-1]))
+    return PiecewiseArcs(tuple((t0, t1, np.conj(v)) for t0, t1, v in core.arcs))
+
+
+def _fold_by_hand(core, wrappers):
+    """The same symbol with no wrapper but one outer SumConst, folded inside out."""
+    c = 0.0 + 0.0j
+    for w in wrappers:
+        if w is None:
+            core, c = _conj_by_hand(core), np.conj(c)
+        else:
+            c += w
+    return SumConst(core, c)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_real_cores(), _wrappers)
+def test_wrapped_normal_forms_fold_to_the_same_bounds(core, wrappers):
+    phi = _wrap(core, wrappers)
+    assert is_normal_sufficient_form(phi)
+    assert ess_range(phi).kind in ("finite_set", "segment")
+    lo, up, exact = normal_dtto_bounds(phi)
+    assert lo <= up
+    lo2, up2, exact2 = normal_dtto_bounds(_fold_by_hand(core, wrappers))
+    assert abs(lo - lo2) <= 1e-12 and abs(up - up2) <= 1e-12
+    assert (exact is None) == (exact2 is None)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from((None, 0.0)), max_size=8))
+def test_shifted_cosine_is_exact_under_any_nesting(wrappers):
+    shift = np.exp(1j * np.pi / 512)
+    phi = _wrap(LaurentPoly(-1, [0.5 * shift, 1.0, 0.5 / shift]), wrappers)
+    assert normal_dtto_bounds(phi)[2] <= 1e-12

@@ -14,7 +14,6 @@ from dttokit import (
     blaschke_to_json,
     symbol_from_json,
     symbol_to_json,
-    tm_basis,
 )
 
 
@@ -91,9 +90,3 @@ def test_blaschke_accepts_quotient_form_with_nonnegative_power():
     with pytest.raises(ValueError):
         blaschke_from_json({"kind": "blaschke_quotient", "z_power": -1, "zeros": []})
 
-
-def test_model_basis_debug_export():
-    doc = tm_basis(BlaschkeProduct(1.0, (0.5,))).to_json()
-    assert doc["dim"] == 1
-    assert doc["windows"][0]["offset"] == 0
-    assert doc["windows"][0]["coeffs"][0] == [np.sqrt(0.75), 0.0]
