@@ -25,7 +25,6 @@ from .fourier import (
     eval_symbol,
     inner_symbol,
     is_analytic,
-    is_inner,
     is_unimodular,
     shift_symbol,
     symbol_from_json,
@@ -52,8 +51,6 @@ from .operators import (
     dual_toeplitz_matrix,
     dual_truncated_toeplitz,
     hankel_matrix,
-    matrix_to_csv,
-    matrix_to_json,
     toeplitz_matrix,
     truncated_toeplitz,
 )
@@ -68,7 +65,6 @@ from .minmod import (
     sigma_min,
 )
 from .oracle import (
-    EssRangeModel,
     ess_range,
     normal_dtto_bounds,
     oracle_constant_symbol,

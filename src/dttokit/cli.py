@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input,
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -47,8 +48,8 @@ class JobConfig:
     perturb_oracle: float = 0.0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.truncations and any(
             b <= a for a, b in zip(self.truncations, self.truncations[1:])
         ):

@@ -13,6 +13,7 @@ window operations propagate these bounds, so downstream matrix entries
 come with a per-entry error certificate.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -486,10 +487,6 @@ def is_coanalytic(phi: SymbolExpr) -> bool:
     return False
 
 
-def is_inner(phi: SymbolExpr) -> bool:
-    return is_unimodular(phi) and is_analytic(phi)
-
-
 def as_blaschke_quotient(phi: SymbolExpr) -> Optional[BlaschkeQuotient]:
     """View phi as a BlaschkeQuotient if its structure permits."""
     if isinstance(phi, BlaschkeQuotient):
@@ -605,7 +602,10 @@ def _c2j(c: complex):
 def _j2c(v) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise ValueError("complex values must be [re, im] pairs")
-    return complex(float(v[0]), float(v[1]))
+    re, im = float(v[0]), float(v[1])
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(f"complex values must be finite, got [{re!r}, {im!r}]")
+    return complex(re, im)
 
 
 def symbol_to_json(phi: SymbolExpr) -> dict:

@@ -8,7 +8,6 @@ through the model space are the authoritative computations here and
 :func:`galerkin_sweep` serves as a consistency probe only.
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,7 +22,7 @@ from .fourier import (
     is_analytic,
     is_unimodular,
 )
-from .modelspace import ModelBasis, gram_matrix, tm_basis
+from .modelspace import gram_matrix, tm_basis
 from .operators import (
     OperatorMatrix,
     corner_images,
@@ -70,9 +69,6 @@ class MinModReport:
             "entry_error": self.entry_error_bound,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 # ---------------------------------------------------------------------------
 # singular-value primitives
@@ -92,20 +88,18 @@ def sigma_max(mat: OperatorMatrix) -> float:
     return float(np.linalg.svd(mat.entries, compute_uv=False)[0])
 
 
-def reduced_min_modulus(mat: OperatorMatrix, rank_tol: float = RANK_TOL_DEFAULT) -> float:
+def reduced_min_modulus(mat: OperatorMatrix) -> float:
     """Smallest singular value above the kernel cutoff.
 
-    ``rank_tol`` is scaled by the matrix norm.  If every singular value
-    falls below the cutoff the compression is degenerate: a warning is
-    issued and 0 is returned.
+    The cutoff is RANK_TOL_DEFAULT scaled by the matrix norm.  If every
+    singular value falls below it the compression is degenerate: a
+    warning is issued and 0 is returned.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
     s = np.linalg.svd(mat.entries, compute_uv=False)
-    cutoff = rank_tol * max(1.0, float(s[0]))
+    cutoff = RANK_TOL_DEFAULT * max(1.0, float(s[0]))
     above = s[s > cutoff]
     if above.size == 0:
-        warnings.warn("all singular values fall below rank_tol; degenerate compression")
+        warnings.warn("all singular values fall below the rank cutoff; degenerate compression")
         return 0.0
     return float(above[-1])
 
@@ -125,7 +119,7 @@ def _require_nonconstant(u: BlaschkeProduct):
 
 
 def min_modulus_unimodular(
-    u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12, basis: Optional[ModelBasis] = None
+    u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12
 ) -> MinModReport:
     """m(D_phi) for unimodular phi, via the exact dim(K_u) reduction.
 
@@ -135,14 +129,13 @@ def min_modulus_unimodular(
     """
     _require_unimodular(phi)
     _require_nonconstant(u)
-    if basis is None:
-        basis = tm_basis(u, tol)
+    basis = tm_basis(u, tol)
     a = truncated_toeplitz(basis, conjugated(phi), tol)
     return MinModReport(sigma_min(a), "finite_exact", None, a.sv_perturbation())
 
 
 def min_modulus_toeplitz_hankel(
-    u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12, basis: Optional[ModelBasis] = None
+    u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12
 ) -> MinModReport:
     """m(D_phi) for unimodular phi through the corner Gram route.
 
@@ -153,8 +146,7 @@ def min_modulus_toeplitz_hankel(
     """
     _require_unimodular(phi)
     _require_nonconstant(u)
-    if basis is None:
-        basis = tm_basis(u, tol)
+    basis = tm_basis(u, tol)
     g = corner_gram(basis, conjugated(phi), tol)
     lam_max = float(np.linalg.eigvalsh(g.entries)[-1])
     value = float(np.sqrt(max(0.0, 1.0 - lam_max)))
@@ -162,7 +154,7 @@ def min_modulus_toeplitz_hankel(
 
 
 def min_modulus_bounds(
-    u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12, basis: Optional[ModelBasis] = None
+    u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12
 ):
     """Two-sided bounds on m(D_phi) from the restricted operator norms.
 
@@ -172,8 +164,7 @@ def min_modulus_bounds(
     """
     _require_unimodular(phi)
     _require_nonconstant(u)
-    if basis is None:
-        basis = tm_basis(u, tol)
+    basis = tm_basis(u, tol)
     t_imgs, h_imgs = corner_images(basis, conjugated(phi), tol)
     t_sq = float(np.linalg.eigvalsh(gram_matrix(t_imgs))[-1])
     h_sq = float(np.linalg.eigvalsh(gram_matrix(h_imgs))[-1])
@@ -185,7 +176,7 @@ def min_modulus_bounds(
 
 
 def min_modulus_corner(
-    u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12, basis: Optional[ModelBasis] = None
+    u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12
 ) -> MinModReport:
     """Minimum modulus of the corner operator P_{K_u^perp} M_phi |_{K_u}.
 
@@ -199,8 +190,7 @@ def min_modulus_corner(
     analytic = is_analytic(phi)
     if not (unimod or analytic):
         raise SymbolClassError("corner route requires a unimodular or analytic symbol")
-    if basis is None:
-        basis = tm_basis(u, tol)
+    basis = tm_basis(u, tol)
     if unimod:
         a = truncated_toeplitz(basis, phi, tol)
         s = sigma_max(a)

@@ -12,8 +12,6 @@ with H^2 (+) H^2_-: analytic coordinates {z^n}_{n=0..N-1} first (they
 stand for {u z^n}), then the co-analytic {zbar^n}_{n=1..N}.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +35,13 @@ from .modelspace import ModelBasis, gram_matrix
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex matrix with labeled bases and a per-entry error bound.
+    """Dense complex matrix with a per-entry error bound.
 
     Singular values computed downstream inherit the perturbation caveat
     entry_error * sqrt(rows * cols).
     """
 
     entries: np.ndarray
-    in_basis: str
-    out_basis: str
     entry_error: float = 0.0
 
     def __post_init__(self):
@@ -63,31 +59,11 @@ class OperatorMatrix:
         return self.entries.shape
 
     def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, self.out_basis, self.in_basis, self.entry_error)
+        return OperatorMatrix(self.entries.conj().T, self.entry_error)
 
     def sv_perturbation(self) -> float:
         m, n = self.shape
         return self.entry_error * float(np.sqrt(m * n))
-
-
-def matrix_to_csv(mat: OperatorMatrix) -> str:
-    """Row-major CSV; each cell is the quoted pair "re,im"."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for row in mat.entries:
-        writer.writerow([f"{c.real:.17g},{c.imag:.17g}" for c in row])
-    return buf.getvalue()
-
-
-def matrix_to_json(mat: OperatorMatrix) -> dict:
-    return {
-        "rows": mat.shape[0],
-        "cols": mat.shape[1],
-        "in_basis": mat.in_basis,
-        "out_basis": mat.out_basis,
-        "entry_error": mat.entry_error,
-        "entries": [[[c.real, c.imag] for c in row] for row in mat.entries],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -107,30 +83,23 @@ def _hankel_view(w: FourierWindow, first: int, rows: int, cols: int) -> np.ndarr
 
 def toeplitz_matrix(phi: SymbolExpr, rows: int, cols: int, tol: float = 1e-12) -> OperatorMatrix:
     """T_phi on monomials: entry (j, k) = phi_hat(j - k), 0-based both ways."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     w = symbol_to_window(phi, -(cols - 1), rows - 1, tol)
     a = _hankel_view(w, -(cols - 1), rows, cols)[:, ::-1]
-    return OperatorMatrix(a, f"H2[z^0..z^{cols - 1}]", f"H2[z^0..z^{rows - 1}]", w.tail_bound)
+    return OperatorMatrix(a, w.tail_bound)
 
 
 def hankel_matrix(phi: SymbolExpr, out_rows: int, cols: int, tol: float = 1e-12) -> OperatorMatrix:
     """H_phi: row j stands for zbar^{j+1}; entry (j, k) = phi_hat(-(j+1) - k)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     w = symbol_to_window(phi, -(out_rows + cols - 1), -1, tol)
     a = _hankel_view(w, -(out_rows + cols - 1), out_rows, cols)[::-1, ::-1]
-    return OperatorMatrix(a, f"H2[z^0..z^{cols - 1}]", f"H2-[zbar^1..zbar^{out_rows}]", w.tail_bound)
+    return OperatorMatrix(a, w.tail_bound)
 
 
 def dual_toeplitz_matrix(phi: SymbolExpr, size: int, tol: float = 1e-12) -> OperatorMatrix:
     """S_phi on {zbar^j}_{j=1..size}: entry (j, k) = phi_hat(k - j)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     w = symbol_to_window(phi, -(size - 1), size - 1, tol)
     a = _hankel_view(w, -(size - 1), size, size)[::-1]
-    label = f"H2-[zbar^1..zbar^{size}]"
-    return OperatorMatrix(a, label, label, w.tail_bound)
+    return OperatorMatrix(a, w.tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -144,24 +113,19 @@ def _symbol_window_for_basis(phi: SymbolExpr, basis: ModelBasis, tol: float) -> 
 
 def truncated_toeplitz(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -> OperatorMatrix:
     """A_phi on the model space: entry (j, k) = <phi e_k, e_j>."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     w = _symbol_window_for_basis(phi, basis, tol)
     images = [window_multiply(w, e) for e in basis.basis]
     a = window_inner_product(images, basis.basis)
     err = max(
         img.tail_bound * 1.0 + img.norm() * basis.max_tail() for img in images
     )
-    label = f"K_u(dim={basis.dim})"
-    return OperatorMatrix(a, label, label, err)
+    return OperatorMatrix(a, err)
 
 
-def compressed_shift(basis: ModelBasis, tol: float = 1e-12) -> OperatorMatrix:
+def compressed_shift(basis: ModelBasis) -> OperatorMatrix:
     """The compressed shift A_z; satisfies I - A* A = (S* u)(S* u)^*."""
     a = window_inner_product([window_shift(e, 1) for e in basis.basis], basis.basis)
-    err = 2.0 * basis.max_tail()
-    label = f"K_u(dim={basis.dim})"
-    return OperatorMatrix(a, label, label, err)
+    return OperatorMatrix(a, 2.0 * basis.max_tail())
 
 
 def corner_images(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12):
@@ -171,8 +135,6 @@ def corner_images(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12):
     a part landing in u H^2 (carried by T_{conj(u) phi}) and a part landing
     in H^2_- (carried by H_phi).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     phi_w = _symbol_window_for_basis(phi, basis, tol)
     t_imgs = _toeplitz_corner_images(basis, phi_w, tol)
     h_imgs = [project_antianalytic(window_multiply(phi_w, e)) for e in basis.basis]
@@ -197,16 +159,11 @@ def corner_gram(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -> Opera
         2.0 * (t.tail_bound * max(t.norm(), 1.0) + h.tail_bound * max(h.norm(), 1.0))
         for t, h in zip(t_imgs, h_imgs)
     )
-    label = f"K_u(dim={basis.dim})"
-    return OperatorMatrix(g, label, label, err)
+    return OperatorMatrix(g, err)
 
 
 # ---------------------------------------------------------------------------
 # dual truncated Toeplitz block
-
-
-def _kperp_labels(n: int) -> str:
-    return f"uH2[z^0..z^{n - 1}] (+) H2-[zbar^1..zbar^{n}]"
 
 
 def _dtto_windows(u: BlaschkeProduct, phi: SymbolExpr, n: int, tol: float):
@@ -229,8 +186,7 @@ def _dtto_block(windows, n: int, m: int) -> OperatorMatrix:
     np.conj(_hankel_view(u_phibar, -(m + n - 1), m, n)[::-1, ::-1], out=a[:m, n:])
     a[m:, :n] = _hankel_view(u_phi, -(m + n - 1), m, n)[::-1, ::-1]
     a[m:, n:] = _hankel_view(phi_w, -(m - 1), m, n)[::-1]
-    err = max(w.tail_bound for w in windows)
-    return OperatorMatrix(a, _kperp_labels(n), _kperp_labels(m), err)
+    return OperatorMatrix(a, max(w.tail_bound for w in windows))
 
 
 def dual_truncated_toeplitz(
@@ -245,8 +201,6 @@ def dual_truncated_toeplitz(
     """
     if n < 1:
         raise ValueError("truncation size must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     return _dtto_block(_dtto_windows(u, phi, n, tol), n, n)
 
 
@@ -276,8 +230,7 @@ def conjugation_action(u: BlaschkeProduct, n: int, tol: float = 1e-12) -> Operat
     eye = np.eye(n)
     m[:n, n:] = eye
     m[n:, :n] = eye
-    label = _kperp_labels(n)
-    return OperatorMatrix(m, label, label, 0.0)
+    return OperatorMatrix(m)
 
 
 def conjugate_sandwich(conj_mat: OperatorMatrix, mat: OperatorMatrix) -> np.ndarray:

@@ -73,24 +73,18 @@ def oracle_m_dual_shift(u: BlaschkeProduct) -> float:
 class EssRangeModel:
     """Computable model of an essential range on one horizontal line.
 
-    kind = finite_set: distinct points with positive arc measures;
+    kind = finite_set: distinct points;
     kind = segment: two endpoints (a line segment in C).
     """
 
     kind: str
     points: np.ndarray
-    measures: Optional[np.ndarray] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.complex128)
         object.__setattr__(self, "points", pts)
         if self.kind not in ("finite_set", "segment"):
             raise ValueError(f"unknown essential-range kind: {self.kind!r}")
-        if self.kind == "finite_set":
-            if self.measures is None or len(self.measures) != len(pts):
-                raise ValueError("finite_set needs one positive measure per point")
-            if any(m <= 0 for m in self.measures):
-                raise ValueError("measures must be positive")
         if self.kind == "segment" and len(pts) != 2:
             raise ValueError("segment needs exactly two endpoints")
 
@@ -152,9 +146,8 @@ def ess_range(phi: SymbolExpr) -> EssRangeModel:
     The folded core is real-valued plus i beta, so the range lies on the
     line Im = +-beta + Im(c), with the sign flipped under an odd number of
     conjugations.  Piecewise-constant and constant symbols give a finite
-    set with arc measures; real trig polynomials give a segment whose
-    endpoints are the extrema at the critical points.  Anything else
-    raises SymbolClassError.
+    set; real trig polynomials give a segment whose endpoints are the
+    extrema at the critical points.  Anything else raises SymbolClassError.
     """
     split = _normal_split(phi)
     if split is None:
@@ -165,19 +158,14 @@ def ess_range(phi: SymbolExpr) -> EssRangeModel:
     height = 1j * ((-beta if odd else beta) + c.imag)
     v = constant_value(core)
     if v is not None:
-        return EssRangeModel("finite_set", np.array([v.real + c.real + height]), np.array([2.0 * np.pi]))
+        return EssRangeModel("finite_set", np.array([v.real + c.real + height]))
     if isinstance(core, PiecewiseArcs):
         pts = []
-        meas = []
-        for t0, t1, v in core.arcs:
+        for _, _, v in core.arcs:
             val = v.real + c.real
-            hit = next((i for i, p in enumerate(pts) if abs(p - val) <= 1e-12), None)
-            if hit is None:
+            if not any(abs(p - val) <= 1e-12 for p in pts):
                 pts.append(val)
-                meas.append(t1 - t0)
-            else:
-                meas[hit] += t1 - t0
-        return EssRangeModel("finite_set", np.array(pts) + height, np.array(meas))
+        return EssRangeModel("finite_set", np.array(pts) + height)
     # the extrema lie at critical points e^{it}: roots of the degree-2N
     # polynomial sum_n n c_n z^{n+N}; a root off the circle still names
     # a point of the circle, so extra roots cannot spoil min or max

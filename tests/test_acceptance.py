@@ -173,8 +173,8 @@ def test_criterion_9_property_suite():
     worst_adj = 0.0
     for _ in range(10):
         m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        s = sigma_min(OperatorMatrix(m, "a", "b"))
-        s_adj = sigma_min(OperatorMatrix(m.conj().T, "b", "a"))
+        s = sigma_min(OperatorMatrix(m))
+        s_adj = sigma_min(OperatorMatrix(m.conj().T))
         worst_adj = max(worst_adj, abs(s - s_adj))
     assert worst_adj <= 1e-12, f"adjoint deviation {worst_adj}"
     _report(

@@ -86,6 +86,16 @@ def test_minmod_exit_code_on_malformed_json(capsys):
     assert main(["minmod", "--inner", "{broken", "--symbol", PHI_Z]) == 2
     assert main(["minmod", "--inner", U_Z2, "--symbol", '{"kind": "nope"}']) == 2
     assert main(["minmod", "--inner", "no-such-file.json", "--symbol", PHI_Z]) == 2
+    # non-finite numbers are malformed input, not a failed verification
+    for tol in ("inf", "1e400", "nan"):
+        assert main(["minmod", "--inner", U_HALF, "--symbol", PHI_Z, "--tol", tol]) == 2
+    assert main(["sweep", "--inner", U_HALF, "--symbol", PHI_Z, "--truncations", "4,8", "--tol", "inf"]) == 2
+    nan_arc = '{"kind": "piecewise", "arcs": [{"from": 0, "to": 6.283185307179586, "value": [NaN, 0]}]}'
+    nan_sum = '{"kind": "sum", "constant": [NaN, 0], "left": ' + PHI_Z + "}"
+    inf_coeff = '{"kind": "laurent", "offset": 0, "coeffs": [[1, Infinity]]}'
+    for sym in (nan_arc, nan_sum, inf_coeff):
+        assert main(["minmod", "--symbol", sym]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_minmod_exit_code_on_unsupported_class(capsys):

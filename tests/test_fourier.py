@@ -249,7 +249,7 @@ def test_piecewise_validation():
 
 
 def test_structural_predicates():
-    from dttokit import is_analytic, is_inner, is_unimodular
+    from dttokit import is_analytic, is_unimodular
 
     assert is_unimodular(BlaschkeQuotient(1.0, -1, (0.5,)))
     assert is_unimodular(conjugated(shift_symbol(1)))
@@ -257,6 +257,8 @@ def test_structural_predicates():
     assert not is_unimodular(SumConst(STEP, 3j))
     assert is_analytic(LaurentPoly(0, [1.0, 2.0]))
     assert not is_analytic(LaurentPoly(-1, [1.0, 2.0]))
-    assert is_inner(BlaschkeQuotient(1.0, 2, (0.3,)))
-    assert not is_inner(BlaschkeQuotient(1.0, -1, (0.3,)))
+    inner = BlaschkeQuotient(1.0, 2, (0.3,))
+    assert is_unimodular(inner) and is_analytic(inner)
+    quotient = BlaschkeQuotient(1.0, -1, (0.3,))
+    assert not (is_unimodular(quotient) and is_analytic(quotient))
     assert is_analytic(constant_symbol(2.0)) and not is_unimodular(constant_symbol(2.0))

@@ -41,29 +41,29 @@ def _haar_unitary(rng, n):
 
 
 def test_sigma_min_identity_and_zero_column():
-    assert sigma_min(OperatorMatrix(np.eye(5), "a", "b")) == 1.0
+    assert sigma_min(OperatorMatrix(np.eye(5))) == 1.0
     m = np.eye(4)
     m[:, 2] = 0.0
-    assert sigma_min(OperatorMatrix(m, "a", "b")) == 0.0
+    assert sigma_min(OperatorMatrix(m)) == 0.0
 
 
 def test_sigma_min_wide_matrix_is_zero():
     # wider than tall: nontrivial kernel on the input side
-    assert sigma_min(OperatorMatrix(np.array([[1.0, 0.0]]), "a", "b")) == 0.0
+    assert sigma_min(OperatorMatrix(np.array([[1.0, 0.0]]))) == 0.0
 
 
 def test_sigma_min_2x2_closed_form():
     a = np.array([[0.7, 0.2], [0.0, 0.5]])
     s = np.linalg.svd(a, compute_uv=False)
-    assert abs(sigma_min(OperatorMatrix(a, "a", "b")) - s[-1]) < 1e-15
+    assert abs(sigma_min(OperatorMatrix(a)) - s[-1]) < 1e-15
 
 
 def test_sigma_min_unitary_invariance(rng):
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     v = _haar_unitary(rng, 6)
     w = _haar_unitary(rng, 6)
-    s0 = sigma_min(OperatorMatrix(m, "a", "b"))
-    s1 = sigma_min(OperatorMatrix(v @ m @ w, "a", "b"))
+    s0 = sigma_min(OperatorMatrix(m))
+    s1 = sigma_min(OperatorMatrix(v @ m @ w))
     assert abs(s0 - s1) < 1e-10
 
 
@@ -74,14 +74,14 @@ def test_reduced_min_modulus_of_truncated_dual_shift():
 
 
 def test_reduced_min_modulus_trivia():
-    assert reduced_min_modulus(OperatorMatrix(np.eye(4), "a", "b")) == 1.0
+    assert reduced_min_modulus(OperatorMatrix(np.eye(4))) == 1.0
     proj = np.diag([1.0, 0.0, 0.0])
-    assert reduced_min_modulus(OperatorMatrix(proj, "a", "b")) == 1.0
+    assert reduced_min_modulus(OperatorMatrix(proj)) == 1.0
 
 
 def test_reduced_min_modulus_degenerate_warns():
     with pytest.warns(UserWarning):
-        assert reduced_min_modulus(OperatorMatrix(np.zeros((3, 3)), "a", "b")) == 0.0
+        assert reduced_min_modulus(OperatorMatrix(np.zeros((3, 3)))) == 0.0
 
 
 def test_compressed_shift_and_adjoint_minmod_match_oracle():

@@ -15,8 +15,6 @@ from dttokit import (
     dual_truncated_toeplitz,
     hankel_matrix,
     inner_symbol,
-    matrix_to_csv,
-    matrix_to_json,
     shift_symbol,
     tm_basis,
     toeplitz_matrix,
@@ -333,34 +331,13 @@ def test_conjugation_intertwines_block_with_adjoint(rng):
 
 
 # ---------------------------------------------------------------------------
-# exports
-
-
-def test_matrix_csv_round_trip():
-    m = OperatorMatrix(np.array([[1 + 2j, 0.5], [0, -1j]]), "in", "out", 1e-12)
-    text = matrix_to_csv(m)
-    import csv
-    import io
-
-    rows = list(csv.reader(io.StringIO(text)))
-    assert len(rows) == 2 and len(rows[0]) == 2
-    re, im = map(float, rows[0][0].split(","))
-    assert re == 1.0 and im == 2.0
-
-
-def test_matrix_json_envelope():
-    m = OperatorMatrix(np.eye(2), "in", "out", 3e-9)
-    env = matrix_to_json(m)
-    assert env["rows"] == 2 and env["cols"] == 2
-    assert env["entry_error"] == 3e-9
-    assert env["entries"][0][0] == [1.0, 0.0]
-    assert env["in_basis"] == "in"
+# the matrix container
 
 
 def test_operator_matrix_invariants():
     with pytest.raises(ValueError):
-        OperatorMatrix(np.zeros((0, 2)), "a", "b")
+        OperatorMatrix(np.zeros((0, 2)))
     with pytest.raises(ValueError):
-        OperatorMatrix(np.eye(2), "a", "b", entry_error=-1.0)
-    m = OperatorMatrix(np.eye(3), "a", "b", 1e-10)
+        OperatorMatrix(np.eye(2), entry_error=-1.0)
+    m = OperatorMatrix(np.eye(3), 1e-10)
     assert abs(m.sv_perturbation() - 3e-10) < 1e-24
