@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input,
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -16,6 +15,7 @@ from .fourier import (
     BlaschkeProduct,
     SymbolClassError,
     SymbolExpr,
+    _check_tol,
     blaschke_from_json,
     constant_value,
     is_analytic,
@@ -32,7 +32,6 @@ from .minmod import (
 from .oracle import is_normal_sufficient_form, normal_dtto_bounds, _oracle_for
 
 DEFAULT_TOL = 1e-9
-DEFAULT_SCHEDULE = (8, 16, 32, 64)
 
 
 @dataclass
@@ -44,12 +43,10 @@ class JobConfig:
     truncations: List[int] = field(default_factory=list)
     output: Optional[str] = None
     format: str = "json"
-    force_method: Optional[str] = None
     perturb_oracle: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        _check_tol(self.tol)
         if self.truncations and any(
             b <= a for a, b in zip(self.truncations, self.truncations[1:])
         ):
@@ -77,21 +74,8 @@ def _report_dict(rep: MinModReport, quantity: str, oracle: Optional[float]) -> d
     return {**rep.to_dict(), "quantity": quantity}
 
 
-def _bounds_report(phi: SymbolExpr, oracle: Optional[float]) -> dict:
-    """Essential-range bounds for a symbol of the normal sufficient form."""
-    lower, upper, exact = normal_dtto_bounds(phi)
-    rep = MinModReport(exact if exact is not None else lower, "oracle")
-    d = _report_dict(rep, "m(D_phi)", oracle)
-    d["bounds"] = {"lower": lower, "upper": upper, "exact": exact}
-    return d
-
-
 def dispatch_minmod(
-    u: Optional[BlaschkeProduct],
-    phi: SymbolExpr,
-    tol: float = DEFAULT_TOL,
-    force_method: Optional[str] = None,
-    truncations=DEFAULT_SCHEDULE,
+    u: Optional[BlaschkeProduct], phi: SymbolExpr, tol: float = DEFAULT_TOL
 ) -> dict:
     """Route a minimum-modulus job to the most specific applicable method.
 
@@ -103,28 +87,15 @@ def dispatch_minmod(
     """
     oracle = _oracle_for(u, phi)
 
-    if force_method == "galerkin_sweep":
-        if u is None:
-            raise ValueError("a sweep needs an inner function")
-        reps = galerkin_sweep(u, phi, list(truncations), tol)
-        return _report_dict(reps[-1], "m(D_phi)", oracle)
-
     c = constant_value(phi)
-    if c is not None and force_method != "finite_exact":
+    if c is not None:
         rep = MinModReport(abs(c), "oracle")
         return _report_dict(rep, "m(D_phi)", oracle)
 
-    if force_method == "oracle":
-        if is_normal_sufficient_form(phi):
-            return _bounds_report(phi, oracle)
-        if oracle is None:
-            raise SymbolClassError("no closed-form oracle applies to this symbol")
-        rep = MinModReport(oracle, "oracle")
-        return _report_dict(rep, "m(D_phi)", oracle)
+    if u is None and (is_unimodular(phi) or is_analytic(phi)):
+        raise ValueError("this symbol class needs an inner function")
 
     if is_unimodular(phi):
-        if u is None:
-            raise ValueError("this symbol class needs an inner function")
         rep = min_modulus_unimodular(u, phi, tol)
         cross = min_modulus_toeplitz_hankel(u, phi, tol)
         # compare on squares: the sqrt amplifies entry noise near zero
@@ -137,13 +108,14 @@ def dispatch_minmod(
         return _report_dict(rep, "m(D_phi)", oracle)
 
     if is_analytic(phi):
-        rep = min_modulus_corner(u, phi, tol) if u is not None else None
-        if rep is None:
-            raise ValueError("this symbol class needs an inner function")
-        return _report_dict(rep, "m(B_phi)", oracle)
+        return _report_dict(min_modulus_corner(u, phi, tol), "m(B_phi)", oracle)
 
     if is_normal_sufficient_form(phi):
-        return _bounds_report(phi, oracle)
+        lower, upper, exact = normal_dtto_bounds(phi)
+        rep = MinModReport(exact if exact is not None else lower, "oracle")
+        d = _report_dict(rep, "m(D_phi)", oracle)
+        d["bounds"] = {"lower": lower, "upper": upper, "exact": exact}
+        return d
 
     raise SymbolClassError(
         "no applicable method; supported classes: constant, unimodular "
@@ -169,9 +141,7 @@ def _write_output(text: str, path: Optional[str]):
 def cmd_minmod(cfg: JobConfig) -> int:
     if cfg.symbol is None:
         raise ValueError("--symbol is required")
-    report = dispatch_minmod(
-        cfg.inner, cfg.symbol, cfg.tol, cfg.force_method, cfg.truncations or DEFAULT_SCHEDULE
-    )
+    report = dispatch_minmod(cfg.inner, cfg.symbol, cfg.tol)
     if cfg.format == "csv":
         head = "value,method,truncation,oracle,discrepancy,entry_error"
         row = ",".join(
@@ -237,17 +207,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--inner", help="inner function as inline JSON or a file path")
         sp.add_argument("--symbol", help="symbol as inline JSON or a file path")
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        sp.add_argument("--truncations", help="comma-separated increasing sizes, e.g. 8,16,32")
         sp.add_argument("--out", dest="output", help="output path (default: stdout)")
         sp.add_argument("--format", choices=("json", "csv"), default=None)
-        sp.add_argument(
-            "--force-method",
-            choices=("finite_exact", "galerkin_sweep", "oracle"),
-            help="override the method dispatch",
-        )
+        return sp
 
     common(sub.add_parser("minmod", help="compute one minimum modulus"))
-    common(sub.add_parser("sweep", help="Galerkin convergence sweep (CSV)"))
+    sweep = common(sub.add_parser("sweep", help="Galerkin convergence sweep (CSV)"))
+    sweep.add_argument("--truncations", help="comma-separated increasing sizes, e.g. 8,16,32")
     v = sub.add_parser("verify", help="run the closed-form verification catalog")
     v.add_argument(
         "--perturb-oracle",
@@ -273,7 +239,6 @@ def _config_from_args(args) -> JobConfig:
         truncations=truncs,
         output=getattr(args, "output", None),
         format=fmt,
-        force_method=getattr(args, "force_method", None),
         perturb_oracle=getattr(args, "perturb_oracle", 0.0),
     )
 

@@ -223,6 +223,12 @@ def geometric_window(lam: complex, n_max: int) -> FourierWindow:
     return FourierWindow(0, c, float(tail))
 
 
+def _check_tol(tol: float) -> None:
+    """Reject any tolerance outside 0 < tol < inf, naming the value."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _factor_width(r: float, tol: float) -> int:
     """Smallest n with sqrt(1 - r^2) * r^n <= tol (geometric l2 tail)."""
     if r == 0.0:
@@ -268,8 +274,7 @@ class BlaschkeProduct:
 
     def window(self, tol: float) -> FourierWindow:
         """Analytic coefficient window with certified tail <= tol."""
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+        _check_tol(tol)
         return window_scale(_blaschke_product_window(self.zeros, tol), self.unimodular_constant)
 
 
@@ -569,8 +574,7 @@ def symbol_to_window(phi: SymbolExpr, lo: int, hi: int, tol: float) -> FourierWi
     """
     if lo > hi:
         raise ValueError("empty index interval")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if isinstance(phi, Conjugate):
         return window_conjugate(symbol_to_window(phi.of, -hi, -lo, tol))
     if isinstance(phi, SumConst):

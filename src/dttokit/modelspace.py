@@ -24,6 +24,7 @@ from .fourier import (
     window_inner_product,
     window_multiply,
     window_scale,
+    _check_tol,
     _factor_width,
     _stack_windows,
 )
@@ -52,12 +53,11 @@ def _build_windows(u: BlaschkeProduct, tol: float) -> list:
     partial = delta_window(0)
     for lam in u.zeros:
         r = abs(lam)
-        n_geom = _factor_width(r, budget) if r > 0 else 1
-        geom = geometric_window(lam, n_geom)
+        n = _factor_width(r, budget)
+        geom = geometric_window(lam, n)
         e = window_scale(window_multiply(geom, partial), np.sqrt(1.0 - r * r))
         elements.append(e)
-        n_fac = _factor_width(r, budget) if r > 0 else 1
-        partial = window_multiply(partial, blaschke_factor_coeffs(lam, n_fac))
+        partial = window_multiply(partial, blaschke_factor_coeffs(lam, n))
     return elements
 
 
@@ -75,8 +75,7 @@ def tm_basis(u: BlaschkeProduct, tol: float = 1e-12) -> ModelBasis:
     """
     if u.degree < 1:
         raise ValueError("inner function must be nonconstant (degree >= 1)")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     build_tol = tol
     for _ in range(4):
         elements = _build_windows(u, build_tol)
@@ -95,10 +94,8 @@ def reproducing_kernel(u: BlaschkeProduct, lam: complex, tol: float = 1e-12) -> 
     lam = complex(lam)
     if abs(lam) >= 1.0:
         raise ValueError("kernel point must lie in the open unit disc")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    r = abs(lam)
-    geom = geometric_window(lam, _factor_width(r, tol / 4.0) if r > 0 else 1)
+    _check_tol(tol)
+    geom = geometric_window(lam, _factor_width(abs(lam), tol / 4.0))
     uw = u.window(tol / 4.0)
     prod = window_multiply(uw, geom)
     return window_add(geom, window_scale(prod, -np.conj(u(lam))))

@@ -216,12 +216,13 @@ def _dtto_rectangular(
     return _dtto_block(windows, n, n + width + 1)
 
 
-def conjugation_action(u: BlaschkeProduct, n: int, tol: float = 1e-12) -> OperatorMatrix:
+def conjugation_action(n: int) -> OperatorMatrix:
     """Matrix M of the antilinear conjugation f -> u conj(z f) on K_u^perp.
 
-    In the {u z^k} (+) {zbar^j} coordinates the map sends u z^k -> zbar^{k+1}
-    and zbar^j -> u z^{j-1}, so it acts as x -> M conj(x) with M the block
-    swap.  M is unitary, M conj(M) = I, and the compression is exact: the
+    In the {u z^k} (+) {zbar^j} coordinates, k, j < n, the map sends
+    u z^k -> zbar^{k+1} and zbar^j -> u z^{j-1}, so it acts as
+    x -> M conj(x) with M the 2n x 2n block swap, the same for every inner
+    u.  M is unitary, M conj(M) = I, and the compression is exact: the
     conjugation preserves both the retained subspace and its complement.
     """
     if n < 1:

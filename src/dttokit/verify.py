@@ -233,7 +233,7 @@ def build_catalog() -> List[CatalogItem]:
     d_z2 = dual_truncated_toeplitz(u_z2, Z, n)
     add(CatalogItem("dtto-offdiag-vanishes", float(np.abs(d_z2.entries[:n, n:]).max()), 0.0, 1e-14))
 
-    c = conjugation_action(u_half, n)
+    c = conjugation_action(n)
     add(CatalogItem(
         "dtto-conjugation-symmetry",
         float(np.abs(conjugate_sandwich(c, d_half) - d_half.entries.conj().T).max()),
@@ -366,7 +366,7 @@ def build_catalog() -> List[CatalogItem]:
     add(CatalogItem("dispatch-step-upper", float(rep3["bounds"]["upper"]), float(np.sqrt(10.0)), 1e-12))
     add(CatalogItem(
         "inner-symbol-divisible",
-        float(dispatch_minmod(u_deg2, inner_symbol(u_deg2), force_method="oracle")["value"]),
+        float(dispatch_minmod(u_deg2, inner_symbol(u_deg2))["oracle"]),
         0.0,
         1e-14,
     ))

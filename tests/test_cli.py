@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from dttokit.cli import dispatch_minmod, main
 from dttokit.fourier import BlaschkeProduct, shift_symbol
@@ -61,27 +62,6 @@ def test_minmod_constant_symbol(capsys):
     assert out["value"] == 1.0 and out["method"] == "oracle"
 
 
-def test_minmod_forced_sweep(capsys):
-    code = main(
-        [
-            "minmod",
-            "--inner",
-            U_HALF,
-            "--symbol",
-            PHI_Z,
-            "--force-method",
-            "galerkin_sweep",
-            "--truncations",
-            "8,16",
-        ]
-    )
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert out["method"] == "galerkin_sweep"
-    assert out["truncation"] == 16
-    assert abs(out["value"] - 0.5) < 0.02
-
-
 def test_minmod_exit_code_on_malformed_json(capsys):
     assert main(["minmod", "--inner", "{broken", "--symbol", PHI_Z]) == 2
     assert main(["minmod", "--inner", U_Z2, "--symbol", '{"kind": "nope"}']) == 2
@@ -103,6 +83,18 @@ def test_minmod_exit_code_on_unsupported_class(capsys):
     # constant, nor of the recognized normal form
     weird = '{"kind": "laurent", "offset": -1, "coeffs": [[1, 0], [0, 0], [2, 0]]}'
     assert main(["minmod", "--inner", U_Z2, "--symbol", weird]) == 3
+
+
+def test_removed_route_overrides_are_refused(capsys):
+    for argv in (
+        ["minmod", "--inner", U_HALF, "--symbol", PHI_Z, "--force-method", "oracle"],
+        ["minmod", "--inner", U_HALF, "--symbol", PHI_Z, "--truncations", "8,16"],
+        ["sweep", "--inner", U_HALF, "--symbol", PHI_Z, "--truncations", "4,8", "--force-method", "oracle"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_minmod_requires_inner_for_unimodular(capsys):

@@ -121,6 +121,9 @@ def test_symbol_window_rejects_bad_inputs():
         symbol_to_window(shift_symbol(1), 3, 2, 1e-9)
     with pytest.raises(ValueError):
         symbol_to_window(shift_symbol(1), -2, 2, 0.0)
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            symbol_to_window(shift_symbol(1), -2, 2, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +242,9 @@ def test_blaschke_product_invariants():
     u = BlaschkeProduct(1j, (0.5, -0.25j))
     assert u.degree == 2
     assert abs(u.at_zero() - 1j * 0.5 * (-0.25j) * ((-1) ** 2)) < 1e-15
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            u.window(tol)
 
 
 def test_piecewise_validation():

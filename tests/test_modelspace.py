@@ -42,6 +42,9 @@ def test_degree_two_gram_is_identity():
 def test_rejects_constant_inner_function():
     with pytest.raises(ValueError):
         tm_basis(BlaschkeProduct(1.0, ()))
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            tm_basis(BlaschkeProduct(1.0, (0.5,)), tol)
 
 
 def test_orthonormality_random_products(rng):
@@ -94,6 +97,9 @@ def test_kernel_reproduces_coordinates():
 def test_kernel_rejects_points_outside_disc():
     with pytest.raises(ValueError):
         reproducing_kernel(BlaschkeProduct(1.0, (0.5,)), 1.0)
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            reproducing_kernel(BlaschkeProduct(1.0, (0.5,)), 0.3, tol)
 
 
 def test_reproducing_property_random(rng):
