@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input,
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -47,6 +48,8 @@ class JobConfig:
 
     def __post_init__(self):
         _check_tol(self.tol)
+        if not math.isfinite(self.perturb_oracle):
+            raise ValueError(f"--perturb-oracle must be finite, got {self.perturb_oracle!r}")
         if self.truncations and any(
             b <= a for a, b in zip(self.truncations, self.truncations[1:])
         ):
@@ -143,11 +146,9 @@ def cmd_minmod(cfg: JobConfig) -> int:
         raise ValueError("--symbol is required")
     report = dispatch_minmod(cfg.inner, cfg.symbol, cfg.tol)
     if cfg.format == "csv":
-        head = "value,method,truncation,oracle,discrepancy,entry_error"
-        row = ",".join(
-            _fmt(report.get(k)) for k in ("value", "method", "truncation", "oracle", "discrepancy", "entry_error")
-        )
-        _write_output(head + "\n" + row + "\n", cfg.output)
+        keys = ("value", "method", "oracle", "discrepancy", "entry_error")
+        row = ",".join(_fmt(report.get(k)) for k in keys)
+        _write_output(",".join(keys) + "\n" + row + "\n", cfg.output)
     else:
         _write_output(json.dumps(report, indent=2), cfg.output)
     return 0
@@ -170,7 +171,8 @@ def cmd_sweep(cfg: JobConfig) -> int:
         raise ValueError("--truncations is required for a sweep")
     reps = galerkin_sweep(cfg.inner, cfg.symbol, cfg.truncations, cfg.tol)
     if cfg.format == "json":
-        _write_output(json.dumps([r.to_dict() for r in reps], indent=2), cfg.output)
+        rows = [{**r.to_dict(), "truncation": r.truncation} for r in reps]
+        _write_output(json.dumps(rows, indent=2), cfg.output)
         return 0
     lines = ["N,value,entry_error"]
     for r in reps:

@@ -237,6 +237,19 @@ def _factor_width(r: float, tol: float) -> int:
     return max(n, 1)
 
 
+def _checked_inner_data(constant, zeros):
+    """(constant, zeros) as complex values, after checking |constant| = 1
+    within 1e-12 and |z| < 1 for every zero; NaN fails both checks."""
+    c = complex(constant)
+    if not abs(abs(c) - 1.0) <= 1e-12:
+        raise ValueError(f"constant must have modulus 1 within 1e-12, got {c!r}")
+    zs = tuple(complex(z) for z in zeros)
+    for z in zs:
+        if not abs(z) < 1.0:
+            raise ValueError(f"every Blaschke zero must satisfy |z| < 1, got {z!r}")
+    return c, zs
+
+
 @dataclass(frozen=True)
 class BlaschkeProduct:
     """A finite Blaschke product: unimodular constant times factors b_lam.
@@ -249,13 +262,7 @@ class BlaschkeProduct:
     zeros: tuple = ()
 
     def __post_init__(self):
-        c = complex(self.unimodular_constant)
-        if abs(abs(c) - 1.0) > 1e-12:
-            raise ValueError("constant must have modulus 1 within 1e-12")
-        zs = tuple(complex(z) for z in self.zeros)
-        for z in zs:
-            if abs(z) >= 1.0:
-                raise ValueError("every Blaschke zero must satisfy |z| < 1")
+        c, zs = _checked_inner_data(self.unimodular_constant, self.zeros)
         object.__setattr__(self, "unimodular_constant", c)
         object.__setattr__(self, "zeros", zs)
 
@@ -323,13 +330,7 @@ class BlaschkeQuotient:
     zeros: tuple = ()
 
     def __post_init__(self):
-        c = complex(self.constant)
-        if abs(abs(c) - 1.0) > 1e-12:
-            raise ValueError("constant must have modulus 1 within 1e-12")
-        zs = tuple(complex(z) for z in self.zeros)
-        for z in zs:
-            if abs(z) >= 1.0:
-                raise ValueError("every Blaschke zero must satisfy |z| < 1")
+        c, zs = _checked_inner_data(self.constant, self.zeros)
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "z_power", int(self.z_power))
         object.__setattr__(self, "zeros", zs)
@@ -414,93 +415,94 @@ def constant_symbol(c: complex) -> LaurentPoly:
 # -- structural classification ----------------------------------------------
 
 
+def _fold_wrappers(phi: SymbolExpr):
+    """Strip SumConst and Conjugate wrappers to any depth.
+
+    Returns (core, c, odd) with phi = (conj(core) if odd else core) + c.
+    Every structural predicate folds first and then reads only the three
+    core classes: LaurentPoly, BlaschkeQuotient and PiecewiseArcs.
+    """
+    c, odd = 0.0 + 0.0j, False
+    while isinstance(phi, (SumConst, Conjugate)):
+        if isinstance(phi, Conjugate):
+            odd, phi = not odd, phi.of
+        else:
+            c += np.conj(phi.constant) if odd else complex(phi.constant)
+            phi = phi.term
+    return phi, c, odd
+
+
+def _monomial(phi: LaurentPoly):
+    """(power, coefficient) when phi has at most one nonzero term, else None."""
+    nz = np.flatnonzero(phi.coeffs)
+    if nz.size > 1:
+        return None
+    return (0, 0j) if nz.size == 0 else (phi.offset + int(nz[0]), complex(phi.coeffs[nz[0]]))
+
+
 def constant_value(phi: SymbolExpr) -> Optional[complex]:
     """Constant value of phi if it simplifies to one, else None."""
-    if isinstance(phi, LaurentPoly):
-        nz = np.flatnonzero(phi.coeffs)
-        if nz.size == 0:
-            return 0.0 + 0.0j
-        if nz.size == 1 and phi.offset + int(nz[0]) == 0:
-            return complex(phi.coeffs[nz[0]])
-        return None
-    if isinstance(phi, BlaschkeQuotient):
-        if phi.z_power == 0 and not phi.zeros:
-            return phi.constant
-        return None
-    if isinstance(phi, Conjugate):
-        v = constant_value(phi.of)
-        return None if v is None else np.conj(v)
-    if isinstance(phi, SumConst):
-        v = constant_value(phi.term)
-        return None if v is None else v + complex(phi.constant)
-    if isinstance(phi, PiecewiseArcs):
-        vals = [v for _, _, v in phi.arcs]
-        if all(abs(v - vals[0]) <= 1e-15 for v in vals):
-            return vals[0]
-        return None
-    raise TypeError(f"not a symbol: {phi!r}")
+    core, c, odd = _fold_wrappers(phi)
+    if isinstance(core, LaurentPoly):
+        term = _monomial(core)
+        v = term[1] if term is not None and term[0] == 0 else None
+    elif isinstance(core, BlaschkeQuotient):
+        v = core.constant if core.z_power == 0 and not core.zeros else None
+    elif isinstance(core, PiecewiseArcs):
+        vals = [v for _, _, v in core.arcs]
+        v = vals[0] if all(abs(v - vals[0]) <= 1e-15 for v in vals) else None
+    else:
+        raise TypeError(f"not a symbol: {phi!r}")
+    return None if v is None else complex((np.conj(v) if odd else v) + c)
 
 
 def is_unimodular(phi: SymbolExpr) -> bool:
-    """Structural check that |phi| = 1 a.e. on the circle."""
-    if isinstance(phi, BlaschkeQuotient):
+    """Structural check that |phi| = 1 a.e. on the circle; an added constant
+    that does not cancel fails it for every non-constant symbol."""
+    v = constant_value(phi)
+    if v is not None:
+        return abs(abs(v) - 1.0) <= 1e-12
+    core, c, _ = _fold_wrappers(phi)
+    if c != 0:
+        return False
+    if isinstance(core, BlaschkeQuotient):
         return True
-    if isinstance(phi, Conjugate):
-        return is_unimodular(phi.of)
-    if isinstance(phi, PiecewiseArcs):
-        return all(abs(abs(v) - 1.0) <= 1e-12 for _, _, v in phi.arcs)
-    c = constant_value(phi)
-    if c is not None:
-        return abs(abs(c) - 1.0) <= 1e-12
-    if isinstance(phi, LaurentPoly):
-        nz = np.flatnonzero(phi.coeffs)
-        return nz.size == 1 and abs(abs(phi.coeffs[nz[0]]) - 1.0) <= 1e-12
-    if isinstance(phi, SumConst):
-        return complex(phi.constant) == 0 and is_unimodular(phi.term)
-    return False
+    if isinstance(core, PiecewiseArcs):
+        return all(abs(abs(v) - 1.0) <= 1e-12 for _, _, v in core.arcs)
+    term = _monomial(core)
+    return term is not None and abs(abs(term[1]) - 1.0) <= 1e-12
 
 
 def is_analytic(phi: SymbolExpr) -> bool:
-    """Structural check that phi has no negative Laurent coefficients."""
-    if isinstance(phi, LaurentPoly):
-        nz = np.flatnonzero(phi.coeffs)
-        return nz.size == 0 or phi.offset + int(nz[0]) >= 0
-    if isinstance(phi, BlaschkeQuotient):
-        return phi.z_power >= 0
-    if isinstance(phi, SumConst):
-        return is_analytic(phi.term)
-    if isinstance(phi, Conjugate):
-        return is_coanalytic(phi.of)
-    if isinstance(phi, PiecewiseArcs):
-        return constant_value(phi) is not None
-    return False
-
-
-def is_coanalytic(phi: SymbolExpr) -> bool:
-    """Structural check that phi has no positive Laurent coefficients."""
-    if isinstance(phi, LaurentPoly):
-        nz = np.flatnonzero(phi.coeffs)
-        return nz.size == 0 or phi.offset + int(nz[-1]) <= 0
-    if isinstance(phi, BlaschkeQuotient):
-        return not phi.zeros and phi.z_power <= 0
-    if isinstance(phi, SumConst):
-        return is_coanalytic(phi.term)
-    if isinstance(phi, Conjugate):
-        return is_analytic(phi.of)
-    if isinstance(phi, PiecewiseArcs):
-        return constant_value(phi) is not None
+    """Structural check that phi has no negative Laurent coefficients: a core
+    under an odd number of conjugations must have no positive ones."""
+    core, _, odd = _fold_wrappers(phi)
+    if isinstance(core, LaurentPoly):
+        nz = np.flatnonzero(core.coeffs)
+        if nz.size == 0:
+            return True
+        return (core.offset + int(nz[-1]) <= 0) if odd else (core.offset + int(nz[0]) >= 0)
+    if isinstance(core, BlaschkeQuotient):
+        return (not core.zeros and core.z_power <= 0) if odd else core.z_power >= 0
+    if isinstance(core, PiecewiseArcs):
+        return constant_value(core) is not None
     return False
 
 
 def as_blaschke_quotient(phi: SymbolExpr) -> Optional[BlaschkeQuotient]:
     """View phi as a BlaschkeQuotient if its structure permits."""
-    if isinstance(phi, BlaschkeQuotient):
-        return phi
-    if isinstance(phi, LaurentPoly):
-        nz = np.flatnonzero(phi.coeffs)
-        if nz.size == 1 and abs(abs(phi.coeffs[nz[0]]) - 1.0) <= 1e-12:
-            return BlaschkeQuotient(complex(phi.coeffs[nz[0]]), phi.offset + int(nz[0]), ())
-    return None
+    core, c, odd = _fold_wrappers(phi)
+    if c != 0:
+        return None
+    if isinstance(core, LaurentPoly):
+        term = _monomial(core)
+        if term is None or abs(abs(term[1]) - 1.0) > 1e-12:
+            return None
+        core = BlaschkeQuotient(term[1], term[0], ())
+    if not isinstance(core, BlaschkeQuotient) or (odd and core.zeros):
+        return None
+    # conj(b_lam) is no Blaschke quotient, but conj(c z^m) = conj(c) z^-m
+    return BlaschkeQuotient(np.conj(core.constant), -core.z_power, ()) if odd else core
 
 
 # -- evaluation ---------------------------------------------------------------

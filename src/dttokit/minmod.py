@@ -63,7 +63,6 @@ class MinModReport:
         return {
             "value": self.value,
             "method": self.method,
-            "truncation": self.truncation,
             "oracle": self.oracle_value,
             "discrepancy": self.discrepancy,
             "entry_error": self.entry_error_bound,

@@ -14,11 +14,8 @@ import numpy as np
 
 from .fourier import (
     BlaschkeProduct,
-    BlaschkeQuotient,
-    Conjugate,
     LaurentPoly,
     PiecewiseArcs,
-    SumConst,
     SymbolClassError,
     SymbolExpr,
     as_blaschke_quotient,
@@ -29,6 +26,7 @@ from .fourier import (
     window_multiply,
     symbol_to_window,
     _divides,
+    _fold_wrappers,
 )
 from .operators import _hankel_view
 
@@ -90,21 +88,6 @@ class EssRangeModel:
 
     def is_convex(self) -> bool:
         return self.kind == "segment" or (self.kind == "finite_set" and len(self.points) == 1)
-
-
-def _fold_wrappers(phi: SymbolExpr):
-    """Strip SumConst and Conjugate wrappers to any depth.
-
-    Returns (core, c, odd) with phi = (conj(core) if odd else core) + c.
-    """
-    c, odd = 0.0 + 0.0j, False
-    while isinstance(phi, (SumConst, Conjugate)):
-        if isinstance(phi, Conjugate):
-            odd, phi = not odd, phi.of
-        else:
-            c += np.conj(phi.constant) if odd else complex(phi.constant)
-            phi = phi.term
-    return phi, c, odd
 
 
 def _hermitian_part_split(phi: LaurentPoly):
@@ -217,11 +200,12 @@ def truncated_toeplitz_norm_hankel(
 
     The truncated value is a lower bound converging upward; it is exact
     (zero) when phi lies in u H-infinity, detected structurally for
-    Blaschke-quotient symbols divisible by u.
+    symbols that fold to a Blaschke quotient divisible by u.
     """
     if not is_analytic(phi):
         raise SymbolClassError("the Hankel norm route requires an analytic symbol")
-    if isinstance(phi, BlaschkeQuotient) and _divides(u, phi):
+    quot = as_blaschke_quotient(phi)
+    if quot is not None and _divides(u, quot):
         return 0.0
     uw = u.window(tol)
     phi_w = symbol_to_window(phi, -1, max(uw.hi, 2 * size), tol)
@@ -238,23 +222,14 @@ def oracle_constant_symbol(phi: SymbolExpr) -> Optional[float]:
     return None
 
 
-def _symbol_is_plain_shift(phi: SymbolExpr) -> bool:
-    quot = as_blaschke_quotient(phi)
-    return quot is not None and quot.z_power == 1 and not quot.zeros
-
-
 def _oracle_for(u: Optional[BlaschkeProduct], phi: SymbolExpr) -> Optional[float]:
     """The closed-form value of m(D_phi) when one applies, else None."""
-    v = oracle_constant_symbol(phi)
-    if v is not None:
-        return v
     c = constant_value(phi)
     if c is not None:
-        return abs(c)
-    if u is not None and _symbol_is_plain_shift(phi):
+        return oracle_constant_symbol(phi) or abs(c)
+    quot = None if u is None else as_blaschke_quotient(phi)
+    if quot is None or quot.z_power < 0:
+        return None
+    if quot.z_power == 1 and not quot.zeros:
         return oracle_m_dual_shift(u)
-    if u is not None:
-        quot = as_blaschke_quotient(phi)
-        if quot is not None and quot.z_power >= 0 and _divides(u, quot):
-            return 0.0
-    return None
+    return 0.0 if _divides(u, quot) else None

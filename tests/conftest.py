@@ -3,6 +3,16 @@ import pytest
 
 from dttokit import BlaschkeProduct, BlaschkeQuotient
 
+try:
+    from hypothesis import settings
+except ImportError:  # only the property tests need it; they fail on import alone
+    pass
+else:
+    # reproducible property tests: fixed example order, no example database,
+    # no per-example deadline; each test sets only its own max_examples
+    settings.register_profile("dttokit", derandomize=True, database=None, deadline=None)
+    settings.load_profile("dttokit")
+
 
 def random_blaschke(rng, max_degree=6, max_modulus=0.9, degree=None) -> BlaschkeProduct:
     d = int(degree) if degree is not None else int(rng.integers(1, max_degree + 1))

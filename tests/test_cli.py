@@ -9,6 +9,9 @@ from dttokit.fourier import BlaschkeProduct, shift_symbol
 U_Z2 = '{"kind": "blaschke_product", "zeros": [[0, 0], [0, 0]]}'
 U_HALF = '{"kind": "blaschke_product", "zeros": [[0.5, 0]]}'
 PHI_Z = '{"kind": "laurent", "offset": 1, "coeffs": [[1, 0]]}'
+U_HALF_FIFTH = '{"kind": "blaschke_product", "zeros": [[0.5, 0], [0, 0.2]]}'
+# q = zbar b_0.3, a unimodular quotient with a pole at 0
+Q = '{"kind": "blaschke_quotient", "z_power": -1, "zeros": [[0.3, 0]]}'
 STEP_3I = (
     '{"kind": "sum", "constant": [0, 3], "left": {"kind": "piecewise", "arcs": ['
     '{"from": 0.0, "to": 3.141592653589793, "value": [1, 0]},'
@@ -25,6 +28,7 @@ def test_minmod_monomial_shift(capsys):
     assert out["discrepancy"] == 0.0
     assert out["method"] == "finite_exact"
     assert out["quantity"] == "m(D_phi)"
+    assert "truncation" not in out
 
 
 def test_minmod_dim_one_shift(capsys):
@@ -76,6 +80,10 @@ def test_minmod_exit_code_on_malformed_json(capsys):
     for sym in (nan_arc, nan_sum, inf_coeff):
         assert main(["minmod", "--symbol", sym]) == 2
     assert "must be finite" in capsys.readouterr().err
+    # a non-finite negative-control shift is malformed input, not a failed check
+    for shift in ("nan", "inf", "-inf"):
+        assert main(["verify", f"--perturb-oracle={shift}"]) == 2
+        assert f"--perturb-oracle must be finite, got {shift}" in capsys.readouterr().err
 
 
 def test_minmod_exit_code_on_unsupported_class(capsys):
@@ -186,7 +194,47 @@ def test_minmod_csv_output(capsys):
     code = main(["minmod", "--inner", U_HALF, "--symbol", PHI_Z, "--format", "csv"])
     out = capsys.readouterr().out.strip().splitlines()
     assert code == 0
-    assert out[0] == "value,method,truncation,oracle,discrepancy,entry_error"
+    assert out[0] == "value,method,oracle,discrepancy,entry_error"
     fields = out[1].split(",")
     assert abs(float(fields[0]) - 0.5) < 1e-9
     assert fields[1] == "finite_exact"
+
+
+def _sum(left: str, c: str) -> str:
+    return '{"kind": "sum", "constant": ' + c + ', "left": ' + left + "}"
+
+
+def _conj(of: str) -> str:
+    return '{"kind": "conjugate", "of": ' + of + "}"
+
+
+def _minmod_json(capsys, symbol: str, inner: str = U_HALF_FIFTH) -> dict:
+    code = main(["minmod", "--inner", inner, "--symbol", symbol])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return json.loads(captured.out)
+
+
+def test_cancelling_sum_routes_as_its_core(capsys):
+    # (z + 1) - 1 is z: the unimodular route and the dual-shift oracle,
+    # not the corner operator of an analytic symbol
+    plain = _minmod_json(capsys, PHI_Z)
+    nested = _minmod_json(capsys, _sum(_sum(PHI_Z, "[1, 0]"), "[-1, 0]"))
+    assert nested["quantity"] == plain["quantity"] == "m(D_phi)"
+    assert nested["value"] == plain["value"] and abs(plain["value"] - 0.1) < 1e-9
+    assert nested["oracle"] == plain["oracle"] == 0.1
+
+
+def test_conjugated_cancelling_sum_is_answered(capsys):
+    # conj(q + 1) - 1 is conj(q)
+    plain = _minmod_json(capsys, _conj(Q))
+    nested = _minmod_json(capsys, _sum(_conj(_sum(Q, "[1, 0]")), "[-1, 0]"))
+    assert nested["quantity"] == plain["quantity"] == "m(D_phi)"
+    assert abs(nested["value"] - plain["value"]) <= nested["entry_error"]
+
+
+def test_double_conjugate_shift_carries_the_dual_shift_oracle(capsys):
+    # conj(zbar) is z
+    out = _minmod_json(capsys, _conj('{"kind": "laurent", "offset": -1, "coeffs": [[1, 0]]}'))
+    assert out["oracle"] == 0.1
+    assert out["discrepancy"] < 1e-12

@@ -239,6 +239,19 @@ def test_blaschke_product_invariants():
         BlaschkeProduct(2.0, (0.5,))
     with pytest.raises(ValueError):
         BlaschkeProduct(1.0, (1.2,))
+    # NaN fails every comparison, so it must be refused, not let through
+    nan = float("nan")
+    for make in (
+        lambda: BlaschkeProduct(1.0, (nan,)),
+        lambda: BlaschkeProduct(1.0, (complex(0.1, nan),)),
+        lambda: BlaschkeProduct(nan, ()),
+        lambda: BlaschkeQuotient(nan, 1, ()),
+        lambda: BlaschkeQuotient(1.0, 0, (nan,)),
+        lambda: BlaschkeQuotient(2.0, 0, ()),
+        lambda: BlaschkeQuotient(1.0, 0, (1.0,)),
+    ):
+        with pytest.raises(ValueError, match="must"):
+            make()
     u = BlaschkeProduct(1j, (0.5, -0.25j))
     assert u.degree == 2
     assert abs(u.at_zero() - 1j * 0.5 * (-0.25j) * ((-1) ** 2)) < 1e-15

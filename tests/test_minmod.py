@@ -296,7 +296,9 @@ def test_sweep_validates_schedule():
 def test_report_serialization_keys():
     rep = MinModReport(0.5, "finite_exact", 32, 1e-11, 0.5)
     d = rep.to_dict()
-    assert set(d) == {"value", "method", "truncation", "oracle", "discrepancy", "entry_error"}
+    # the truncation stays on the report; only the sweep output prints it
+    assert set(d) == {"value", "method", "oracle", "discrepancy", "entry_error"}
+    assert rep.truncation == 32
     assert d["discrepancy"] == 0.0
     rep2 = MinModReport(0.25, "galerkin_sweep")
     assert rep2.to_dict()["oracle"] is None

@@ -23,8 +23,9 @@ from dttokit import (
     truncated_toeplitz,
     truncated_toeplitz_norm_hankel,
 )
+from dttokit.fourier import as_blaschke_quotient, constant_value, is_analytic, is_unimodular
 from dttokit.minmod import sigma_max
-from dttokit.oracle import is_normal_sufficient_form
+from dttokit.oracle import _oracle_for, is_normal_sufficient_form
 
 from conftest import random_blaschke
 
@@ -205,6 +206,10 @@ def test_nehari_vanishes_on_multiples_of_u(rng):
     assert truncated_toeplitz_norm_hankel(u, inner_symbol(u)) == 0.0
     lifted = BlaschkeQuotient(u.unimodular_constant, 1, u.zeros)
     assert truncated_toeplitz_norm_hankel(u, lifted) == 0.0
+    # wrappers that fold away leave the certificate exact
+    for wrapped in (Conjugate(Conjugate(lifted)), SumConst(SumConst(lifted, 1j), -1j)):
+        assert truncated_toeplitz_norm_hankel(u, wrapped) == 0.0
+    assert truncated_toeplitz_norm_hankel(BlaschkeProduct(1.0, (0.0, 0.0)), shift_symbol(3)) == 0.0
 
 
 def test_nehari_shift_dim_one_matches_modulus():
@@ -248,6 +253,10 @@ def test_constant_symbol_oracle():
 
 _reals = st.floats(-3.0, 3.0, allow_nan=False)
 _complexes = st.builds(complex, _reals, _reals)
+# quarter-integers add exactly in any order, so a sum of them is 0 exactly
+# when it is 0 on paper
+_dyadics = st.integers(-12, 12).map(lambda k: k / 4)
+_dyadic_complexes = st.builds(complex, _dyadics, _dyadics)
 
 
 @st.composite
@@ -265,7 +274,41 @@ def _real_cores(draw):
     return constant_symbol(draw(_complexes))
 
 
-_wrappers = st.lists(st.one_of(st.just(None), _complexes), max_size=6)
+_units = st.sampled_from((1.0, -1.0, 1j, -1j, np.exp(0.7j)))
+_disc_points = st.builds(complex, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7))
+
+
+@st.composite
+def _cores(draw):
+    """Any core class: the real cores, Blaschke quotients with or without
+    zeros, zero-padded monomials, and complex piecewise symbols."""
+    kind = draw(st.sampled_from(("real", "quotient", "monomial", "piecewise")))
+    if kind == "real":
+        return draw(_real_cores())
+    if kind == "quotient":
+        zeros = draw(st.lists(_disc_points, max_size=2))
+        return BlaschkeQuotient(draw(_units), draw(st.integers(-2, 2)), tuple(zeros))
+    if kind == "monomial":
+        c = draw(st.one_of(_units, st.sampled_from((0.5, 2j, 0.0))))
+        return LaurentPoly(draw(st.integers(-3, 1)), [0.0, c, 0.0])
+    values = st.one_of(_units, _dyadic_complexes)
+    return PiecewiseArcs(((0.0, np.pi, draw(values)), (np.pi, 2 * np.pi, draw(values))))
+
+
+def _wrapper_lists(constants):
+    """Wrapper lists, innermost first: None is a conjugation, a number an
+    added constant.  Some constants come in pairs that cancel exactly,
+    next to each other or across a conjugation."""
+    move = st.one_of(
+        st.just([None]),
+        constants.map(lambda w: [w]),
+        constants.map(lambda w: [w, -w]),
+        constants.map(lambda w: [w, None, -w.conjugate()]),
+    )
+    return st.lists(move, max_size=4).map(lambda moves: [w for m in moves for w in m])
+
+
+_wrappers = _wrapper_lists(_complexes)
 
 
 def _wrap(core, wrappers):
@@ -277,23 +320,33 @@ def _wrap(core, wrappers):
 
 
 def _conj_by_hand(core):
+    """conj(core) as a core where the class allows; conj(b_lam) is not a
+    Blaschke quotient, so a quotient with zeros keeps one Conjugate."""
     if isinstance(core, LaurentPoly):
         return LaurentPoly(-(core.offset + len(core.coeffs) - 1), np.conj(core.coeffs[::-1]))
+    if isinstance(core, BlaschkeQuotient):
+        if core.zeros:
+            return Conjugate(core)
+        return BlaschkeQuotient(np.conj(core.constant), -core.z_power, ())
     return PiecewiseArcs(tuple((t0, t1, np.conj(v)) for t0, t1, v in core.arcs))
 
 
 def _fold_by_hand(core, wrappers):
-    """The same symbol with no wrapper but one outer SumConst, folded inside out."""
-    c = 0.0 + 0.0j
+    """The same symbol with every conjugation applied to the core and one
+    outer SumConst, folded inside out; the SumConst is left off when the
+    constants cancel."""
+    c, odd = 0.0 + 0.0j, False
     for w in wrappers:
         if w is None:
-            core, c = _conj_by_hand(core), np.conj(c)
+            odd, c = not odd, c.conjugate()
         else:
             c += w
-    return SumConst(core, c)
+    if odd:
+        core = _conj_by_hand(core)
+    return core if c == 0 else SumConst(core, c)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(_real_cores(), _wrappers)
 def test_wrapped_normal_forms_fold_to_the_same_bounds(core, wrappers):
     phi = _wrap(core, wrappers)
@@ -306,7 +359,25 @@ def test_wrapped_normal_forms_fold_to_the_same_bounds(core, wrappers):
     assert (exact is None) == (exact2 is None)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+_U_ORACLE = BlaschkeProduct(1.0, (0.5, 0.2j))
+
+
+@settings(max_examples=400)
+@given(_cores(), _wrapper_lists(_dyadic_complexes))
+def test_every_structural_predicate_sees_through_the_wrappers(core, wrappers):
+    nested, folded = _wrap(core, wrappers), _fold_by_hand(core, wrappers)
+    for predicate in (
+        constant_value,
+        is_unimodular,
+        is_analytic,
+        as_blaschke_quotient,
+        is_normal_sufficient_form,
+    ):
+        assert predicate(nested) == predicate(folded), predicate.__name__
+    assert _oracle_for(_U_ORACLE, nested) == _oracle_for(_U_ORACLE, folded)
+
+
+@settings(max_examples=50)
 @given(st.lists(st.sampled_from((None, 0.0)), max_size=8))
 def test_shifted_cosine_is_exact_under_any_nesting(wrappers):
     shift = np.exp(1j * np.pi / 512)
