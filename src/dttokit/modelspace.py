@@ -26,6 +26,7 @@ from .fourier import (
     window_scale,
     _check_tol,
     _factor_width,
+    _factor_widths,
     _stack_windows,
 )
 
@@ -51,9 +52,8 @@ def _build_windows(u: BlaschkeProduct, tol: float) -> list:
     budget = tol / (2.0 * (u.degree + 1))
     elements = []
     partial = delta_window(0)
-    for lam in u.zeros:
+    for lam, n in zip(u.zeros, _factor_widths(u.zeros, budget)):
         r = abs(lam)
-        n = _factor_width(r, budget)
         geom = geometric_window(lam, n)
         e = window_scale(window_multiply(geom, partial), np.sqrt(1.0 - r * r))
         elements.append(e)

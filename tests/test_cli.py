@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -91,6 +92,20 @@ def test_minmod_exit_code_on_unsupported_class(capsys):
     # constant, nor of the recognized normal form
     weird = '{"kind": "laurent", "offset": -1, "coeffs": [[1, 0], [0, 0], [2, 0]]}'
     assert main(["minmod", "--inner", U_Z2, "--symbol", weird]) == 3
+
+
+def test_minmod_refuses_unreachable_window_width(capsys):
+    # zeros at modulus 0.999999 need windows of about 16M coefficients
+    near_circle = '{"kind": "blaschke_product", "zeros": [[0.999999, 0], [0, -0.5]]}'
+    for argv in (
+        ["minmod", "--inner", near_circle, "--symbol", Q],
+        ["minmod", "--inner", near_circle, "--symbol", PHI_Z],
+        ["sweep", "--inner", near_circle, "--symbol", Q, "--truncations", "4"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "predicted window width" in capsys.readouterr().err
 
 
 def test_removed_route_overrides_are_refused(capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dttokit import (
     BlaschkeProduct,
@@ -19,7 +20,14 @@ from dttokit import (
     window_inner_product,
     window_multiply,
 )
-from dttokit.fourier import delta_window, geometric_window, window_shift, window_sub
+from dttokit.fourier import (
+    _DIRECT_PRODUCT_MAX,
+    _fft_length,
+    delta_window,
+    geometric_window,
+    window_shift,
+    window_sub,
+)
 
 from conftest import random_blaschke, random_quotient
 
@@ -151,6 +159,97 @@ def test_multiply_by_monomial_shifts_indices():
     shifted = window_multiply(delta_window(2), f)
     assert shifted.offset == f.offset + 2
     assert np.array_equal(shifted.coeffs, f.coeffs)
+
+
+def _random_window(seed, length, offset, tail):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    return FourierWindow(offset, coeffs * rng.uniform(0.1, 10.0), tail)
+
+
+def _check_product_frame(f, g, prod):
+    assert prod.offset == f.offset + g.offset
+    assert len(prod.coeffs) == len(f.coeffs) + len(g.coeffs) - 1
+    tail = f.norm() * g.tail_bound + g.norm() * f.tail_bound + f.tail_bound * g.tail_bound
+    assert prod.tail_bound == tail
+
+
+_offsets = st.integers(-50, 50)
+_tails = st.sampled_from((0.0, 1e-12, 0.25))
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, _DIRECT_PRODUCT_MAX),
+    st.integers(1, 700),
+    _offsets,
+    _offsets,
+    _tails,
+    _tails,
+    st.booleans(),
+)
+def test_multiply_short_factor_is_direct_convolution(seed, m, n, lo_f, lo_g, tf, tg, swap):
+    f = _random_window(seed, m, lo_f, tf)
+    g = _random_window(seed + 1, n, lo_g, tg)
+    if swap:
+        f, g = g, f
+    prod = window_multiply(f, g)
+    assert prod.coeffs.tobytes() == np.convolve(f.coeffs, g.coeffs).tobytes()
+    _check_product_frame(f, g, prod)
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(_DIRECT_PRODUCT_MAX + 1, 1500),
+    st.integers(_DIRECT_PRODUCT_MAX + 1, 1500),
+    _offsets,
+    _offsets,
+    _tails,
+    _tails,
+)
+def test_multiply_long_factors_match_extended_precision(seed, m, n, lo_f, lo_g, tf, tg):
+    # reference: the direct Cauchy product in long double; the FFT error is
+    # normwise, O(eps log2 L) times the mixed l1/l2 norms of the factors
+    f = _random_window(seed, m, lo_f, tf)
+    g = _random_window(seed + 1, n, lo_g, tg)
+    prod = window_multiply(f, g)
+    ref = np.convolve(f.coeffs.astype(np.clongdouble), g.coeffs.astype(np.clongdouble))
+    err = float(np.max(np.abs(prod.coeffs.astype(np.clongdouble) - ref)))
+    l1f, l1g = np.abs(f.coeffs).sum(), np.abs(g.coeffs).sum()
+    bound = 64 * np.finfo(float).eps * np.log2(_fft_length(m + n - 1)) * (
+        l1f * g.norm() + f.norm() * l1g
+    )
+    assert err <= bound
+    _check_product_frame(f, g, prod)
+
+
+def test_multiply_exact_windows_stay_exact_beside_long_factors():
+    # deltas and monomial windows take the direct path beside any factor
+    exact = FourierWindow(-3, geometric_window(0.3 - 0.4j, 5 * _DIRECT_PRODUCT_MAX).coeffs, 0.0)
+    monomial = symbol_to_window(shift_symbol(3), -2, 4, 1e-12)
+    cases = ((delta_window(2), 2, 1.0), (delta_window(-7, 0.5 - 2j), -7, 0.5 - 2j), (monomial, 3, 1.0))
+    for short, power, c in cases:
+        for f, g in ((short, exact), (exact, short)):
+            prod = window_multiply(f, g)
+            assert prod.tail_bound == 0.0
+            shifted = [prod.coeff_at(n + power) for n in range(exact.lo, exact.hi + 1)]
+            assert np.array_equal(shifted, c * exact.coeffs)
+
+
+def test_fft_length_is_smallest_5_smooth_at_least_n():
+    limit = 5000
+    smooth = [k for k in range(1, 2 * limit) if _is_5_smooth(k)]
+    for n in range(1, limit + 1):
+        assert _fft_length(n) == next(k for k in smooth if k >= n)
+
+
+def _is_5_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
 
 
 def test_conjugate_reflects_support_and_is_involutive():

@@ -22,6 +22,7 @@ from dttokit import (
 )
 from dttokit.cli import dispatch_minmod
 from dttokit.minmod import MinModReport
+from dttokit.modelspace import gram_matrix
 from dttokit.operators import OperatorMatrix
 from dttokit.oracle import oracle_m_compressed_shift
 
@@ -307,3 +308,31 @@ def test_report_serialization_keys():
         MinModReport(-0.1, "oracle")
     with pytest.raises(ValueError):
         MinModReport(0.1, "guesswork")
+
+
+# ---------------------------------------------------------------------------
+# long windows: d = 8 zeros at modulus 0.99, W near 12.8k at the CLI tolerance
+
+
+def _ring(d, r, turn=0.37):
+    return BlaschkeProduct(1.0, tuple(r * np.exp(2j * np.pi * (k + turn) / d) for k in range(d)))
+
+
+def test_long_window_dispatch_matches_closed_forms():
+    u = _ring(8, 0.99)
+    shift = dispatch_minmod(u, Z, 1e-9)
+    # shift dichotomy: u(0) != 0, so m(D_z) = |u(0)| = prod |lam_i|
+    assert abs(shift["oracle"] - 0.99**8) < 1e-14
+    assert abs(shift["value"] - shift["oracle"]) <= 1e-8 + shift["entry_error"]
+    divisible = BlaschkeQuotient(1j, 1, u.zeros + (0.3 - 0.2j,))
+    quotient = dispatch_minmod(u, divisible, 1e-9)
+    assert quotient["oracle"] == 0.0
+    assert quotient["value"] <= 1e-8 + quotient["entry_error"]
+
+
+def test_long_window_basis_still_certifies():
+    u = _ring(8, 0.99)
+    assert u.window(1e-12).tail_bound <= 1e-12
+    basis = tm_basis(u, 1e-12)
+    assert basis.window_width() > 12_000
+    assert np.abs(gram_matrix(basis.basis) - np.eye(u.degree)).max() <= 1e-10
