@@ -67,7 +67,6 @@ from .minmod import (
 from .oracle import (
     ess_range,
     normal_dtto_bounds,
-    oracle_constant_symbol,
     oracle_m_compressed_shift,
     oracle_m_dual_shift,
     oracle_rank_one_spectrum,

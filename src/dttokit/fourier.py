@@ -467,20 +467,34 @@ def constant_symbol(c: complex) -> LaurentPoly:
 
 
 def _fold_wrappers(phi: SymbolExpr):
-    """Strip SumConst and Conjugate wrappers to any depth.
+    """Strip SumConst and Conjugate wrappers to any depth into one core.
 
     Returns (core, c, odd) with phi = (conj(core) if odd else core) + c.
-    Every structural predicate folds first and then reads only the three
-    core classes: LaurentPoly, BlaschkeQuotient and PiecewiseArcs.
+    Laurent and piecewise cores absorb c and the conjugation, a zero-free
+    quotient as its monomial; only a quotient with zeros keeps them.  An
+    unwrapped symbol comes back as is.  Windows, values and predicates
+    all read this core.
     """
-    c, odd = 0.0 + 0.0j, False
-    while isinstance(phi, (SumConst, Conjugate)):
-        if isinstance(phi, Conjugate):
-            odd, phi = not odd, phi.of
+    core, c, odd = phi, 0.0 + 0.0j, False
+    while isinstance(core, (SumConst, Conjugate)):
+        if isinstance(core, Conjugate):
+            odd, core = not odd, core.of
         else:
-            c += np.conj(phi.constant) if odd else complex(phi.constant)
-            phi = phi.term
-    return phi, c, odd
+            c += complex(core.constant).conjugate() if odd else complex(core.constant)
+            core = core.term
+    if (c == 0 and not odd) or (isinstance(core, BlaschkeQuotient) and core.zeros):
+        return core, c, odd
+    if isinstance(core, PiecewiseArcs):
+        arcs = tuple((t0, t1, (v.conjugate() if odd else v) + c) for t0, t1, v in core.arcs)
+        return PiecewiseArcs(arcs), 0j, False
+    if isinstance(core, BlaschkeQuotient):
+        core = LaurentPoly(core.z_power, [core.constant])
+    if not isinstance(core, LaurentPoly):
+        return core, c, odd
+    w = FourierWindow(core.offset, core.coeffs)
+    w = window_conjugate(w) if odd else w
+    w = window_add(w, delta_window(0, c)) if c != 0 else w
+    return LaurentPoly(w.offset, w.coeffs), 0j, False
 
 
 def _monomial(phi: LaurentPoly):
@@ -493,31 +507,27 @@ def _monomial(phi: LaurentPoly):
 
 def constant_value(phi: SymbolExpr) -> Optional[complex]:
     """Constant value of phi if it simplifies to one, else None."""
-    core, c, odd = _fold_wrappers(phi)
+    core = _fold_wrappers(phi)[0]
     if isinstance(core, LaurentPoly):
         term = _monomial(core)
-        v = term[1] if term is not None and term[0] == 0 else None
-    elif isinstance(core, BlaschkeQuotient):
-        v = core.constant if core.z_power == 0 and not core.zeros else None
-    elif isinstance(core, PiecewiseArcs):
+        return term[1] if term is not None and term[0] == 0 else None
+    if isinstance(core, BlaschkeQuotient):
+        return core.constant if core.z_power == 0 and not core.zeros else None
+    if isinstance(core, PiecewiseArcs):
         vals = [v for _, _, v in core.arcs]
-        v = vals[0] if all(abs(v - vals[0]) <= 1e-15 for v in vals) else None
-    else:
-        raise TypeError(f"not a symbol: {phi!r}")
-    return None if v is None else complex((np.conj(v) if odd else v) + c)
+        return vals[0] if all(abs(v - vals[0]) <= 1e-15 for v in vals) else None
+    raise TypeError(f"not a symbol: {phi!r}")
 
 
 def is_unimodular(phi: SymbolExpr) -> bool:
-    """Structural check that |phi| = 1 a.e. on the circle; an added constant
-    that does not cancel fails it for every non-constant symbol."""
-    v = constant_value(phi)
+    """Structural check that |phi| = 1 a.e. on the circle.  A quotient with
+    zeros plus a constant that does not cancel never is."""
+    core, c, _ = _fold_wrappers(phi)
+    v = constant_value(core)
     if v is not None:
         return abs(abs(v) - 1.0) <= 1e-12
-    core, c, _ = _fold_wrappers(phi)
-    if c != 0:
-        return False
     if isinstance(core, BlaschkeQuotient):
-        return True
+        return c == 0
     if isinstance(core, PiecewiseArcs):
         return all(abs(abs(v) - 1.0) <= 1e-12 for _, _, v in core.arcs)
     term = _monomial(core)
@@ -525,16 +535,14 @@ def is_unimodular(phi: SymbolExpr) -> bool:
 
 
 def is_analytic(phi: SymbolExpr) -> bool:
-    """Structural check that phi has no negative Laurent coefficients: a core
-    under an odd number of conjugations must have no positive ones."""
+    """Structural check that phi has no negative Laurent coefficients; the
+    conjugate of a quotient with zeros never is analytic."""
     core, _, odd = _fold_wrappers(phi)
     if isinstance(core, LaurentPoly):
         nz = np.flatnonzero(core.coeffs)
-        if nz.size == 0:
-            return True
-        return (core.offset + int(nz[-1]) <= 0) if odd else (core.offset + int(nz[0]) >= 0)
+        return nz.size == 0 or core.offset + int(nz[0]) >= 0
     if isinstance(core, BlaschkeQuotient):
-        return (not core.zeros and core.z_power <= 0) if odd else core.z_power >= 0
+        return not odd and core.z_power >= 0
     if isinstance(core, PiecewiseArcs):
         return constant_value(core) is not None
     return False
@@ -543,17 +551,14 @@ def is_analytic(phi: SymbolExpr) -> bool:
 def as_blaschke_quotient(phi: SymbolExpr) -> Optional[BlaschkeQuotient]:
     """View phi as a BlaschkeQuotient if its structure permits."""
     core, c, odd = _fold_wrappers(phi)
-    if c != 0:
-        return None
     if isinstance(core, LaurentPoly):
         term = _monomial(core)
         if term is None or abs(abs(term[1]) - 1.0) > 1e-12:
             return None
-        core = BlaschkeQuotient(term[1], term[0], ())
-    if not isinstance(core, BlaschkeQuotient) or (odd and core.zeros):
+        return BlaschkeQuotient(term[1], term[0], ())
+    if not isinstance(core, BlaschkeQuotient) or c != 0 or odd:
         return None
-    # conj(b_lam) is no Blaschke quotient, but conj(c z^m) = conj(c) z^-m
-    return BlaschkeQuotient(np.conj(core.constant), -core.z_power, ()) if odd else core
+    return core
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -565,27 +570,24 @@ def eval_symbol(phi: SymbolExpr, theta: float) -> complex:
     Piecewise symbols are undefined on arc endpoints (a null set); hitting
     one exactly raises ValueError.
     """
+    core, c, odd = _fold_wrappers(phi)
     z = np.exp(1j * theta)
-    if isinstance(phi, LaurentPoly):
-        n = np.arange(phi.offset, phi.offset + len(phi.coeffs))
-        return complex(np.sum(phi.coeffs * np.exp(1j * theta * n)))
-    if isinstance(phi, BlaschkeQuotient):
-        v = phi.constant * z**phi.z_power
-        for lam in phi.zeros:
-            v *= blaschke_factor_value(lam, z)
-        return complex(v)
-    if isinstance(phi, Conjugate):
-        return complex(np.conj(eval_symbol(phi.of, theta)))
-    if isinstance(phi, SumConst):
-        return eval_symbol(phi.term, theta) + complex(phi.constant)
-    if isinstance(phi, PiecewiseArcs):
-        for t0, t1, v in phi.arcs:
+    if isinstance(core, LaurentPoly):
+        n = np.arange(core.offset, core.offset + len(core.coeffs))
+        return complex(np.sum(core.coeffs * np.exp(1j * theta * n)))
+    if isinstance(core, PiecewiseArcs):
+        for t0, t1, v in core.arcs:
             if theta == t0 or theta == t1:
                 raise ValueError("symbol value is undefined on an arc endpoint")
             if t0 < theta < t1:
                 return v
         raise ValueError("angle must lie in [0, 2pi)")
-    raise TypeError(f"not a symbol: {phi!r}")
+    if not isinstance(core, BlaschkeQuotient):
+        raise TypeError(f"not a symbol: {phi!r}")
+    v = core.constant * z**core.z_power
+    for lam in core.zeros:
+        v *= blaschke_factor_value(lam, z)
+    return complex(np.conj(v) if odd else v) + c
 
 
 # -- coefficient windows ------------------------------------------------------
@@ -628,23 +630,24 @@ def symbol_to_window(phi: SymbolExpr, lo: int, hi: int, tol: float) -> FourierWi
     if lo > hi:
         raise ValueError("empty index interval")
     _check_tol(tol)
-    if isinstance(phi, Conjugate):
-        return window_conjugate(symbol_to_window(phi.of, -hi, -lo, tol))
-    if isinstance(phi, SumConst):
-        w = symbol_to_window(phi.term, min(lo, 0), max(hi, 0), tol)
-        return window_add(w, delta_window(0, phi.constant))
-    if isinstance(phi, PiecewiseArcs):
-        return _piecewise_window(phi, lo, hi)
-    if isinstance(phi, LaurentPoly):
-        w = FourierWindow(phi.offset, phi.coeffs, 0.0)
-    elif isinstance(phi, BlaschkeQuotient):
+    core, c, odd = _fold_wrappers(phi)
+    if isinstance(core, PiecewiseArcs):
+        return _piecewise_window(core, lo, hi)
+    if isinstance(core, LaurentPoly):
+        w = FourierWindow(core.offset, core.coeffs, 0.0)
+    elif isinstance(core, BlaschkeQuotient):
         # certified block: every omitted coefficient is covered by the tail
-        w = _blaschke_product_window(phi.zeros, tol)
-        w = window_shift(window_scale(w, phi.constant), phi.z_power)
+        w = _blaschke_product_window(core.zeros, tol)
+        w = window_shift(window_scale(w, core.constant), core.z_power)
     else:
         raise TypeError(f"not a symbol: {phi!r}")
+    # only a quotient with zeros still carries a conjugation or a constant
+    if odd:
+        lo, hi = -hi, -lo
     lo, hi = min(lo, w.lo), max(hi, w.hi)
-    return FourierWindow(lo, _coeffs_over(w, lo, hi), w.tail_bound)
+    w = FourierWindow(lo, _coeffs_over(w, lo, hi), w.tail_bound)
+    w = window_conjugate(w) if odd else w
+    return window_add(w, delta_window(0, c)) if c != 0 else w
 
 
 # ---------------------------------------------------------------------------

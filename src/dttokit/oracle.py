@@ -103,17 +103,17 @@ def _hermitian_part_split(phi: LaurentPoly):
 
 
 def _normal_split(phi: SymbolExpr):
-    """(core, c, odd, beta) when the folded core is real-valued + i beta, else None."""
-    core, c, odd = _fold_wrappers(phi)
+    """(core, beta) when the folded core is real-valued + i beta, else None."""
+    core = _fold_wrappers(phi)[0]
     v = constant_value(core)
     if v is not None:
-        return core, c, odd, v.imag
+        return core, v.imag
     if isinstance(core, PiecewiseArcs):
         imags = [v.imag for _, _, v in core.arcs]
-        return (core, c, odd, imags[0]) if max(imags) - min(imags) <= 1e-12 else None
+        return (core, imags[0]) if max(imags) - min(imags) <= 1e-12 else None
     if isinstance(core, LaurentPoly):
         split = _hermitian_part_split(core)
-        return None if split is None else (core, c, odd, split[1])
+        return None if split is None else (core, split[1])
     return None
 
 
@@ -127,8 +127,7 @@ def ess_range(phi: SymbolExpr) -> EssRangeModel:
     """Model the essential range of a symbol of the recognized normal form.
 
     The folded core is real-valued plus i beta, so the range lies on the
-    line Im = +-beta + Im(c), with the sign flipped under an odd number of
-    conjugations.  Piecewise-constant and constant symbols give a finite
+    line Im = beta.  Piecewise-constant and constant symbols give a finite
     set; real trig polynomials give a segment whose endpoints are the
     extrema at the critical points.  Anything else raises SymbolClassError.
     """
@@ -137,17 +136,16 @@ def ess_range(phi: SymbolExpr) -> EssRangeModel:
         raise SymbolClassError(
             "symbol is not of the recognized normal form (real-valued + constant)"
         )
-    core, c, odd, beta = split
-    height = 1j * ((-beta if odd else beta) + c.imag)
+    core, beta = split
+    height = 1j * beta
     v = constant_value(core)
     if v is not None:
-        return EssRangeModel("finite_set", np.array([v.real + c.real + height]))
+        return EssRangeModel("finite_set", np.array([v.real + height]))
     if isinstance(core, PiecewiseArcs):
         pts = []
         for _, _, v in core.arcs:
-            val = v.real + c.real
-            if not any(abs(p - val) <= 1e-12 for p in pts):
-                pts.append(val)
+            if not any(abs(p - v.real) <= 1e-12 for p in pts):
+                pts.append(v.real)
         return EssRangeModel("finite_set", np.array(pts) + height)
     # the extrema lie at critical points e^{it}: roots of the degree-2N
     # polynomial sum_n n c_n z^{n+N}; a root off the circle still names
@@ -162,7 +160,7 @@ def ess_range(phi: SymbolExpr) -> EssRangeModel:
     dp /= np.abs(dp).max()
     dp[np.abs(dp) < 1e-16] = 0.0
     thetas = np.angle(np.roots(dp))
-    re = np.array([eval_symbol(core, t).real for t in thetas]) + c.real
+    re = np.array([eval_symbol(core, t).real for t in thetas])
     return EssRangeModel("segment", np.array([re.min(), re.max()]) + height)
 
 
@@ -214,19 +212,11 @@ def truncated_toeplitz_norm_hankel(
     return float(np.linalg.svd(h, compute_uv=False)[0])
 
 
-def oracle_constant_symbol(phi: SymbolExpr) -> Optional[float]:
-    """1 exactly when phi simplifies to a constant of modulus one, else None."""
-    c = constant_value(phi)
-    if c is not None and abs(abs(c) - 1.0) <= 1e-12:
-        return 1.0
-    return None
-
-
 def _oracle_for(u: Optional[BlaschkeProduct], phi: SymbolExpr) -> Optional[float]:
     """The closed-form value of m(D_phi) when one applies, else None."""
     c = constant_value(phi)
     if c is not None:
-        return oracle_constant_symbol(phi) or abs(c)
+        return abs(c)
     quot = None if u is None else as_blaschke_quotient(phi)
     if quot is None or quot.z_power < 0:
         return None

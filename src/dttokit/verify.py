@@ -53,11 +53,11 @@ from .minmod import (
 from .oracle import (
     ess_range,
     normal_dtto_bounds,
-    oracle_constant_symbol,
     oracle_m_compressed_shift,
     oracle_m_dual_shift,
     oracle_rank_one_spectrum,
     truncated_toeplitz_norm_hankel,
+    _oracle_for,
 )
 
 Z = shift_symbol(1)
@@ -348,7 +348,7 @@ def build_catalog() -> List[CatalogItem]:
 
     add(CatalogItem(
         "constant-symbol-oracle",
-        float(oracle_constant_symbol(constant_symbol(1j)) or 0.0),
+        float(_oracle_for(None, constant_symbol(1j))),
         1.0,
         1e-15,
     ))

@@ -253,3 +253,21 @@ def test_double_conjugate_shift_carries_the_dual_shift_oracle(capsys):
     out = _minmod_json(capsys, _conj('{"kind": "laurent", "offset": -1, "coeffs": [[1, 0]]}'))
     assert out["oracle"] == 0.1
     assert out["discrepancy"] < 1e-12
+
+
+def _arcs(first: str, second: str) -> str:
+    return (
+        '{"kind": "piecewise", "arcs": ['
+        f'{{"from": 0.0, "to": 3.141592653589793, "value": {first}}},'
+        f'{{"from": 3.141592653589793, "to": 6.283185307179586, "value": {second}}}]}}'
+    )
+
+
+def test_piecewise_plus_constant_on_the_circle_is_unimodular(capsys):
+    # (1 on the upper arc, i on the lower) - 1 - i takes the values -i and
+    # -1: the constant folds into the arc values, and the sum routes as
+    # the plain unimodular piecewise symbol
+    plain = _minmod_json(capsys, _arcs("[0, -1]", "[-1, 0]"), U_HALF)
+    nested = _minmod_json(capsys, _sum(_arcs("[1, 0]", "[0, 1]"), "[-1, -1]"), U_HALF)
+    assert nested == plain
+    assert plain["value"] == 0.7071067811865476

@@ -11,19 +11,29 @@ from dttokit import (
     SumConst,
     SymbolClassError,
     constant_symbol,
+    eval_symbol,
     ess_range,
     inner_symbol,
     normal_dtto_bounds,
-    oracle_constant_symbol,
     oracle_m_compressed_shift,
     oracle_m_dual_shift,
     oracle_rank_one_spectrum,
     shift_symbol,
+    symbol_to_window,
     tm_basis,
     truncated_toeplitz,
     truncated_toeplitz_norm_hankel,
+    window_add,
+    window_conjugate,
 )
-from dttokit.fourier import as_blaschke_quotient, constant_value, is_analytic, is_unimodular
+from dttokit.fourier import (
+    _coeffs_over,
+    as_blaschke_quotient,
+    constant_value,
+    delta_window,
+    is_analytic,
+    is_unimodular,
+)
 from dttokit.minmod import sigma_max
 from dttokit.oracle import _oracle_for, is_normal_sufficient_form
 
@@ -241,11 +251,12 @@ def test_nehari_rejects_non_analytic():
 
 
 def test_constant_symbol_oracle():
-    assert oracle_constant_symbol(constant_symbol(1j)) == 1.0
-    assert oracle_constant_symbol(Z) is None
-    assert oracle_constant_symbol(BlaschkeQuotient(1.0, 0, (0.3,))) is None
-    assert oracle_constant_symbol(BlaschkeQuotient(-1j, 0, ())) == 1.0
-    assert oracle_constant_symbol(constant_symbol(2.0)) is None
+    # a constant's oracle is |c|, the value the constant route reports
+    assert _oracle_for(None, constant_symbol(1j)) == 1.0
+    assert _oracle_for(None, BlaschkeQuotient(-1j, 0, ())) == 1.0
+    assert _oracle_for(None, constant_symbol(2.0)) == 2.0
+    assert _oracle_for(None, Z) is None
+    assert _oracle_for(None, BlaschkeQuotient(1.0, 0, (0.3,))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +394,78 @@ def test_shifted_cosine_is_exact_under_any_nesting(wrappers):
     shift = np.exp(1j * np.pi / 512)
     phi = _wrap(LaurentPoly(-1, [0.5 * shift, 1.0, 0.5 / shift]), wrappers)
     assert normal_dtto_bounds(phi)[2] <= 1e-12
+
+
+@st.composite
+def _window_cores(draw):
+    """A complex Laurent polynomial, a complex piecewise symbol on three
+    arcs, or a Blaschke quotient with at least one zero."""
+    kind = draw(st.sampled_from(("laurent", "piecewise", "quotient")))
+    if kind == "laurent":
+        coeffs = draw(st.lists(_complexes, min_size=1, max_size=5))
+        return LaurentPoly(draw(st.integers(-4, 3)), coeffs)
+    if kind == "piecewise":
+        values = [draw(_complexes) for _ in range(3)]
+        return PiecewiseArcs(tuple(zip((0.0, 2.0, np.pi), (2.0, np.pi, 2 * np.pi), values)))
+    zeros = draw(st.lists(_disc_points, min_size=1, max_size=2))
+    return BlaschkeQuotient(draw(_units), draw(st.integers(-2, 2)), tuple(zeros))
+
+
+_WINDOW_TOL = 1e-12
+_HALF_WIDTH = 24
+
+
+def _window_by_hand(core, wrappers):
+    """Window of the wrapped symbol from the core's own window, with each
+    wrapper applied by the window primitives, innermost first."""
+    w = symbol_to_window(core, -_HALF_WIDTH, _HALF_WIDTH, _WINDOW_TOL)
+    for x in wrappers:
+        w = window_conjugate(w) if x is None else window_add(w, delta_window(0, x))
+    return w
+
+
+def _value_by_hand(core, wrappers, theta):
+    v = eval_symbol(core, theta)
+    for x in wrappers:
+        v = v.conjugate() if x is None else v + x
+    return v
+
+
+@settings(max_examples=200)
+@given(
+    _window_cores(),
+    _wrappers,
+    st.floats(0.1, 1.9),
+    st.sampled_from((0.0, 2.0, np.pi)),
+)
+def test_nested_windows_and_values_match_the_hand_folded_symbol(core, wrappers, t, arc_start):
+    nested = _wrap(core, wrappers)
+    scale = 1.0 + sum(abs(x) for x in wrappers if x is not None)
+    w = symbol_to_window(nested, -_HALF_WIDTH, _HALF_WIDTH, _WINDOW_TOL)
+    ref = _window_by_hand(core, wrappers)
+    assert w.lo <= -_HALF_WIDTH and w.hi >= _HALF_WIDTH
+    lo, hi = min(w.lo, ref.lo), max(w.hi, ref.hi)
+    gap = np.abs(_coeffs_over(w, lo, hi) - _coeffs_over(ref, lo, hi)).max()
+    assert gap <= 1e-14 * scale
+    assert abs(w.tail_bound - ref.tail_bound) <= 1e-14 * scale * (1.0 + ref.tail_bound)
+    # an angle strictly inside one of the piecewise arcs (0, 2), (2, pi), (pi, 2pi)
+    theta = arc_start + t * (0.5 if arc_start == 2.0 else 1.0)
+    assert abs(eval_symbol(nested, theta) - _value_by_hand(core, wrappers, theta)) <= 1e-14 * scale
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.floats(0.0, 2 * np.pi), min_size=2, max_size=2),
+    _wrappers,
+)
+def test_nested_piecewise_with_values_on_the_circle_is_unimodular(angles, wrappers):
+    # undo the wrappers on the target values, outermost first, so the
+    # nested symbol takes the values e^{i angle} on its two arcs
+    values = []
+    for a in angles:
+        v = complex(np.exp(1j * a))
+        for x in reversed(wrappers):
+            v = v.conjugate() if x is None else v - x
+        values.append(v)
+    core = PiecewiseArcs(((0.0, np.pi, values[0]), (np.pi, 2 * np.pi, values[1])))
+    assert is_unimodular(_wrap(core, wrappers))
