@@ -17,6 +17,7 @@ from .fourier import (
     SymbolClassError,
     SymbolExpr,
     _check_tol,
+    _fold_wrappers,
     blaschke_from_json,
     constant_value,
     is_analytic,
@@ -88,6 +89,11 @@ def dispatch_minmod(
     operator (the reported quantity is then m(B_phi)); symbols of the
     normal sufficient form get essential-range bounds.
     """
+    core, added, odd = _fold_wrappers(phi)
+    if added == 0 and not odd:
+        # the fold absorbed every wrapper: route on the core, so the
+        # predicates below find nothing to rebuild
+        phi = core
     oracle = _oracle_for(u, phi)
 
     c = constant_value(phi)

@@ -13,6 +13,7 @@ window operations propagate these bounds, so downstream matrix entries
 come with a per-entry error certificate.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -28,6 +29,11 @@ _DIRECT_PRODUCT_MAX = 128
 # Largest predicted Blaschke product window, in coefficients.  A degree-2
 # product with zeros at modulus 0.9999 needs about 0.5M at tol 1e-12.
 _MAX_WINDOW_WIDTH = 1 << 20
+# Largest tabulated FFT length.  The longest product the width refusal
+# admits is conj(u) phi e_k in the corner images, with u and e_k at most
+# _MAX_WINDOW_WIDTH + 1 coefficients long and a piecewise phi over twice
+# the basis width: about 2^22 coefficients in all.
+_FFT_TABLE_MAX = 1 << 23
 
 
 class SymbolClassError(ValueError):
@@ -109,17 +115,47 @@ def _stack_windows(windows, lo: int, hi: int) -> np.ndarray:
     return rows
 
 
-def _fft_length(n: int) -> int:
-    """Smallest 5-smooth integer 2^a 3^b 5^c that is >= n."""
-    best = 1 << max(n - 1, 0).bit_length()
+def _trim_zero_edges(w: FourierWindow) -> FourierWindow:
+    """w without the exact-zero coefficients at either end of its block.
+
+    The dropped coefficients are exact zeros, so the window stands for the
+    same function with the same tail, and products, pairings and blocks
+    read from it need no more than its nonzero support.  An all-zero
+    window keeps one coefficient.
+    """
+    nz = np.flatnonzero(w.coeffs)
+    a, b = (int(nz[0]), int(nz[-1])) if nz.size else (0, 0)
+    if a == 0 and b == len(w.coeffs) - 1:
+        return w
+    return FourierWindow(w.offset + a, w.coeffs[a : b + 1], w.tail_bound)
+
+
+def _smooth_numbers(limit: int) -> tuple:
+    """Every 5-smooth integer 2^a 3^b 5^c <= limit, in increasing order."""
+    out = []
     p5 = 1
-    while p5 < best:
-        p = p5
-        while p < best:
-            best = min(best, p << max(-(-n // p) - 1, 0).bit_length())
-            p *= 3
+    while p5 <= limit:
+        p3 = p5
+        while p3 <= limit:
+            p = p3
+            while p <= limit:
+                out.append(p)
+                p *= 2
+            p3 *= 3
         p5 *= 5
-    return best
+    return tuple(sorted(out))
+
+
+_FFT_LENGTHS = _smooth_numbers(_FFT_TABLE_MAX)
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c that is >= n; above the table,
+    which every product of admitted windows stays under, the next power
+    of two."""
+    if n > _FFT_TABLE_MAX:
+        return 1 << (n - 1).bit_length()
+    return _FFT_LENGTHS[bisect.bisect_left(_FFT_LENGTHS, n)]
 
 
 def _cauchy_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -219,6 +255,27 @@ def project_antianalytic(f: FourierWindow) -> FourierWindow:
 # Blaschke products
 
 
+def _geometric_powers(a: complex, n: int) -> np.ndarray:
+    """a^0, ..., a^(n-1) by doubling: the pass at k fills out[k:2k] with
+    out[:k] times a^k, so the run takes log2(n) vector products.
+
+    a^k is carried by squaring in long double (extended precision on x86)
+    and rounded once per pass, so entry j picks up about one rounding per
+    set bit of j: relative error near log2(n) eps, where that of the
+    complex powers a ** j grows in proportion to j.
+    """
+    out = np.empty(n, dtype=np.complex128)
+    out[0] = 1.0
+    step = np.clongdouble(a)
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        np.multiply(out[:m], np.complex128(step), out=out[k : k + m])
+        k += m
+        step *= step
+    return out
+
+
 def blaschke_factor_value(lam: complex, z: complex) -> complex:
     return (z - lam) / (1.0 - np.conj(lam) * z)
 
@@ -240,7 +297,7 @@ def blaschke_factor_coeffs(lam: complex, n_max: int) -> FourierWindow:
         return delta_window(1)
     c = np.empty(n_max + 1, dtype=np.complex128)
     c[0] = -lam
-    c[1:] = (1.0 - r * r) * np.conj(lam) ** np.arange(n_max)
+    c[1:] = (1.0 - r * r) * _geometric_powers(np.conj(lam), n_max)
     tail = (1.0 - r * r) * r**n_max / np.sqrt(1.0 - r * r)
     return FourierWindow(0, c, float(tail))
 
@@ -253,7 +310,7 @@ def geometric_window(lam: complex, n_max: int) -> FourierWindow:
         raise ValueError("pole parameter must lie in the open unit disc")
     if lam == 0:
         return delta_window(0)
-    c = np.conj(lam) ** np.arange(n_max + 1)
+    c = _geometric_powers(np.conj(lam), n_max + 1)
     tail = r ** (n_max + 1) / np.sqrt(1.0 - r * r)
     return FourierWindow(0, c, float(tail))
 

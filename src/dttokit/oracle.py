@@ -27,6 +27,7 @@ from .fourier import (
     symbol_to_window,
     _divides,
     _fold_wrappers,
+    _trim_zero_edges,
 )
 from .operators import _hankel_view
 
@@ -206,7 +207,7 @@ def truncated_toeplitz_norm_hankel(
     if quot is not None and _divides(u, quot):
         return 0.0
     uw = u.window(tol)
-    phi_w = symbol_to_window(phi, -1, max(uw.hi, 2 * size), tol)
+    phi_w = _trim_zero_edges(symbol_to_window(phi, -1, max(uw.hi, 2 * size), tol))
     w = window_multiply(window_conjugate(uw), phi_w)
     h = _hankel_view(w, -(2 * size - 1), size, size)[::-1, ::-1]
     return float(np.linalg.svd(h, compute_uv=False)[0])

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from dttokit.cli import dispatch_minmod, main
-from dttokit.fourier import BlaschkeProduct, shift_symbol
+from dttokit.fourier import (
+    BlaschkeProduct,
+    BlaschkeQuotient,
+    Conjugate,
+    LaurentPoly,
+    PiecewiseArcs,
+    SumConst,
+    _fold_wrappers,
+    shift_symbol,
+)
 
 U_Z2 = '{"kind": "blaschke_product", "zeros": [[0, 0], [0, 0]]}'
 U_HALF = '{"kind": "blaschke_product", "zeros": [[0.5, 0]]}'
@@ -203,6 +212,33 @@ def test_dispatch_deterministic():
     a = dispatch_minmod(u, shift_symbol(1))
     b = dispatch_minmod(u, shift_symbol(1))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "wrapped",
+    [
+        SumConst(Conjugate(PiecewiseArcs(((0.0, np.pi, 1.0), (np.pi, 2 * np.pi, 1j)))), 0.0),
+        SumConst(SumConst(shift_symbol(1), 1.0), -1.0),
+        Conjugate(Conjugate(BlaschkeQuotient(1.0, -1, (0.3,)))),
+        SumConst(PiecewiseArcs(((0.0, np.pi, 1.0), (np.pi, 2 * np.pi, -1.0))), 3j),
+        SumConst(Conjugate(LaurentPoly(-1, [0.2j, 0.5])), 0.1),
+    ],
+)
+def test_wrapped_symbol_and_its_folded_core_give_identical_reports(wrapped):
+    core, added, odd = _fold_wrappers(wrapped)
+    assert added == 0 and not odd and core is not wrapped
+    u = BlaschkeProduct(1.0, (0.5, 0.2j))
+    assert dispatch_minmod(u, wrapped) == dispatch_minmod(u, core)
+
+
+def test_dispatch_folds_a_wrapped_piecewise_symbol_once(monkeypatch):
+    step = PiecewiseArcs(((0.0, np.pi, 1.0), (np.pi, 2 * np.pi, -1.0)))
+    built = []
+    validate = PiecewiseArcs.__post_init__
+    monkeypatch.setattr(PiecewiseArcs, "__post_init__", lambda self: built.append(validate(self)))
+    rep = dispatch_minmod(None, SumConst(Conjugate(step), 2j))
+    assert len(built) == 1
+    assert rep["bounds"]["exact"] is None and rep["value"] == 2.0
 
 
 def test_minmod_csv_output(capsys):

@@ -22,7 +22,10 @@ from dttokit import (
 )
 from dttokit.fourier import (
     _DIRECT_PRODUCT_MAX,
+    _FFT_TABLE_MAX,
+    _MAX_WINDOW_WIDTH,
     _fft_length,
+    _geometric_powers,
     delta_window,
     geometric_window,
     window_shift,
@@ -69,6 +72,49 @@ def test_blaschke_factor_tail_certifies_next_block():
         long = blaschke_factor_coeffs(lam, 2 * n_max)
         mass = np.linalg.norm(long.coeffs[n_max + 1 :])
         assert mass <= short.tail_bound
+
+
+_EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+@pytest.mark.skipif(not _EXTENDED, reason="long double is no wider than double here")
+@settings(max_examples=80)
+@given(
+    r=st.floats(0.0, 0.9995),
+    theta=st.floats(0.0, 2 * np.pi),
+    n=st.integers(1, 4000),
+)
+def test_doubled_powers_track_a_long_double_reference(r, theta, n):
+    a = complex(r * np.cos(theta), r * np.sin(theta))
+    ref = np.cumprod(np.concatenate([[1.0], np.full(n - 1, a)]).astype(np.clongdouble))
+    normal = np.abs(ref) > 1e-280  # underflow costs both schemes their relative accuracy
+
+    def rel_error(v):
+        if not normal.any():
+            return 0.0
+        return float(np.max(np.abs(v[normal] - ref[normal]) / np.abs(ref[normal])))
+
+    eps = np.finfo(float).eps
+    doubled = _geometric_powers(a, n)
+    assert doubled[0] == 1.0
+    err = rel_error(doubled)
+    assert err <= n * eps
+    # over a few dozen terms both sit at one or two roundings, where
+    # either scheme may lead by a fraction of an ulp
+    assert err <= max(rel_error(a ** np.arange(n)), 2.0 * eps)
+
+
+@pytest.mark.parametrize("lam,n", [(0.5, 3), (0.3 - 0.6j, 40), (0.985 * np.exp(0.3j), 1200)])
+def test_geometric_coefficients_are_the_doubled_powers_with_unchanged_tails(lam, n):
+    r = abs(lam)
+    powers = _geometric_powers(np.conj(lam), n + 1)
+    geom = geometric_window(lam, n)
+    assert np.array_equal(geom.coeffs, powers)
+    assert geom.tail_bound == float(r ** (n + 1) / np.sqrt(1.0 - r * r))
+    factor = blaschke_factor_coeffs(lam, n)
+    assert factor.coeffs[0] == -lam
+    assert np.array_equal(factor.coeffs[1:], (1.0 - r * r) * powers[:-1])
+    assert factor.tail_bound == float((1.0 - r * r) * r**n / np.sqrt(1.0 - r * r))
 
 
 def test_quotient_conjugate_matches_two_sided_expansion():
@@ -243,6 +289,17 @@ def test_fft_length_is_smallest_5_smooth_at_least_n():
     smooth = [k for k in range(1, 2 * limit) if _is_5_smooth(k)]
     for n in range(1, limit + 1):
         assert _fft_length(n) == next(k for k in smooth if k >= n)
+
+
+def test_fft_length_table_covers_every_admitted_product():
+    # the longest admitted product, conj(u) phi e_k: u and e_k of at most
+    # _MAX_WINDOW_WIDTH + 1 coefficients, a piecewise phi over [-W - 1, W + 1]
+    longest = 4 * (_MAX_WINDOW_WIDTH + 2)
+    assert longest < _FFT_TABLE_MAX
+    for n in (longest - 7, longest, 1 << 22, _FFT_TABLE_MAX - 1, _FFT_TABLE_MAX):
+        assert _fft_length(n) == next(k for k in range(n, 2 * n) if _is_5_smooth(k))
+    # beyond the table, a power of two
+    assert _fft_length(_FFT_TABLE_MAX + 1) == 2 * _FFT_TABLE_MAX
 
 
 def _is_5_smooth(k):

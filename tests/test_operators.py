@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dttokit import (
     BlaschkeProduct,
@@ -13,6 +14,7 @@ from dttokit import (
     corner_gram,
     dual_toeplitz_matrix,
     dual_truncated_toeplitz,
+    galerkin_sweep,
     hankel_matrix,
     inner_symbol,
     shift_symbol,
@@ -21,19 +23,21 @@ from dttokit import (
     truncated_toeplitz,
     window_inner_product,
 )
-from dttokit.fourier import delta_window, window_shift, window_sub
+from dttokit import operators, oracle
+from dttokit.fourier import Conjugate, delta_window, is_analytic, window_shift, window_sub
 from dttokit.operators import (
     OperatorMatrix,
     conjugate_sandwich,
     _dtto_rectangular,
     _hankel_view,
 )
-from dttokit.oracle import oracle_rank_one_spectrum
+from dttokit.oracle import oracle_rank_one_spectrum, truncated_toeplitz_norm_hankel
 
 from conftest import random_blaschke, random_quotient
 
 Z = shift_symbol(1)
 ZBAR = conjugated(Z)
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -341,3 +345,73 @@ def test_operator_matrix_invariants():
         OperatorMatrix(np.eye(2), entry_error=-1.0)
     m = OperatorMatrix(np.eye(3), 1e-10)
     assert abs(m.sv_perturbation() - 3e-10) < 1e-24
+
+
+# ---------------------------------------------------------------------------
+# symbol windows trimmed to their support against the zero-padded ones
+
+
+def _polar(r, t):
+    return complex(r * np.cos(t), r * np.sin(t))
+
+
+_ANGLE = st.floats(0.0, 2 * np.pi)
+_INNERS = st.lists(st.builds(_polar, st.floats(0.0, 0.95), _ANGLE), min_size=1, max_size=4).map(
+    lambda zs: BlaschkeProduct(1.0, tuple(zs))
+)
+_LAURENT = st.builds(
+    LaurentPoly,
+    st.integers(-3, 3),
+    st.lists(st.builds(_polar, st.floats(0.1, 1.0), _ANGLE), min_size=1, max_size=5),
+)
+_QUOTIENT = st.builds(
+    BlaschkeQuotient,
+    st.builds(_polar, st.just(1.0), _ANGLE),
+    st.integers(-2, 2),
+    st.lists(st.builds(_polar, st.floats(0.0, 0.9), _ANGLE), max_size=2).map(tuple),
+)
+_SYMBOLS = st.one_of(_LAURENT, _QUOTIENT, _QUOTIENT.map(Conjugate))
+
+
+def _padded(fn, *args):
+    """fn(*args) with the symbol windows left zero-padded to the requested
+    index range, as they were built before trimming."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (operators, oracle):
+            mp.setattr(module, "_trim_zero_edges", lambda w: w)
+        return fn(*args)
+
+
+@settings(max_examples=40)
+@given(u=_INNERS, phi=_SYMBOLS, n=st.integers(1, 12))
+def test_trimmed_symbol_windows_give_the_padded_results(u, phi, n):
+    tol = 1e-9
+    basis = tm_basis(u, tol)
+    for build in (truncated_toeplitz, corner_gram):
+        trimmed, padded = build(basis, phi, tol), _padded(build, basis, phi, tol)
+        scale = max(1.0, np.abs(padded.entries).max())
+        assert np.abs(trimmed.entries - padded.entries).max() <= 1e-13 * scale
+        # the bound reads l2 norms of computed images, which the direct and
+        # the FFT product round apart by an ulp
+        assert abs(trimmed.entry_error - padded.entry_error) <= 4 * EPS * padded.entry_error
+    trimmed = galerkin_sweep(u, phi, [n], tol)[0]
+    padded = _padded(galerkin_sweep, u, phi, [n], tol)[0]
+    assert abs(trimmed.value - padded.value) <= 1e-13
+    assert trimmed.entry_error_bound <= padded.entry_error_bound
+    if is_analytic(phi):
+        args = (u, phi, 2 * n + 8, tol)
+        trimmed = truncated_toeplitz_norm_hankel(*args)
+        padded = _padded(truncated_toeplitz_norm_hankel, *args)
+        assert abs(trimmed - padded) <= 1e-13 * max(1.0, padded)
+
+
+@settings(max_examples=25)
+@given(u=_INNERS, phi=_LAURENT, n=st.integers(1, 40))
+def test_galerkin_block_rows_reach_the_laurent_support(u, phi, n):
+    tol = 1e-9
+    lo, hi = phi.offset, phi.offset + len(phi.coeffs) - 1
+    w_u = u.window(tol / np.sqrt(n) / 2.0).hi
+    # reach of phi, u phi and u conj(phi), the windows that fill the block
+    width = max(abs(lo), abs(hi), w_u + hi, w_u - lo)
+    block = _dtto_rectangular(u, phi, n, tol)
+    assert block.shape == (2 * (n + width + 1), 2 * n)
