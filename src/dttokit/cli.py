@@ -9,7 +9,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import List, Optional
 
 from .fourier import (
@@ -34,27 +34,6 @@ from .minmod import (
 from .oracle import is_normal_sufficient_form, normal_dtto_bounds, _oracle_for
 
 DEFAULT_TOL = 1e-9
-
-
-@dataclass
-class JobConfig:
-    command: str
-    inner: Optional[BlaschkeProduct] = None
-    symbol: Optional[SymbolExpr] = None
-    tol: float = DEFAULT_TOL
-    truncations: List[int] = field(default_factory=list)
-    output: Optional[str] = None
-    format: str = "json"
-    perturb_oracle: float = 0.0
-
-    def __post_init__(self):
-        _check_tol(self.tol)
-        if not math.isfinite(self.perturb_oracle):
-            raise ValueError(f"--perturb-oracle must be finite, got {self.perturb_oracle!r}")
-        if self.truncations and any(
-            b <= a for a, b in zip(self.truncations, self.truncations[1:])
-        ):
-            raise ValueError("truncations must be strictly increasing")
 
 
 def _load_json_arg(text: str) -> dict:
@@ -147,16 +126,22 @@ def _write_output(text: str, path: Optional[str]):
             sys.stdout.write("\n")
 
 
-def cmd_minmod(cfg: JobConfig) -> int:
-    if cfg.symbol is None:
+def cmd_minmod(
+    inner: Optional[BlaschkeProduct],
+    symbol: Optional[SymbolExpr],
+    tol: float,
+    fmt: str,
+    output: Optional[str],
+) -> int:
+    if symbol is None:
         raise ValueError("--symbol is required")
-    report = dispatch_minmod(cfg.inner, cfg.symbol, cfg.tol)
-    if cfg.format == "csv":
+    report = dispatch_minmod(inner, symbol, tol)
+    if fmt == "csv":
         keys = ("value", "method", "oracle", "discrepancy", "entry_error")
         row = ",".join(_fmt(report.get(k)) for k in keys)
-        _write_output(",".join(keys) + "\n" + row + "\n", cfg.output)
+        _write_output(",".join(keys) + "\n" + row + "\n", output)
     else:
-        _write_output(json.dumps(report, indent=2), cfg.output)
+        _write_output(json.dumps(report, indent=2), output)
     return 0
 
 
@@ -168,35 +153,42 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def cmd_sweep(cfg: JobConfig) -> int:
-    if cfg.symbol is None:
+def cmd_sweep(
+    inner: Optional[BlaschkeProduct],
+    symbol: Optional[SymbolExpr],
+    truncations: List[int],
+    tol: float,
+    fmt: str,
+    output: Optional[str],
+) -> int:
+    if symbol is None:
         raise ValueError("--symbol is required")
-    if cfg.inner is None:
+    if inner is None:
         raise ValueError("--inner is required")
-    if not cfg.truncations:
+    if not truncations:
         raise ValueError("--truncations is required for a sweep")
-    reps = galerkin_sweep(cfg.inner, cfg.symbol, cfg.truncations, cfg.tol)
-    if cfg.format == "json":
+    reps = galerkin_sweep(inner, symbol, truncations, tol)
+    if fmt == "json":
         rows = [{**r.to_dict(), "truncation": r.truncation} for r in reps]
-        _write_output(json.dumps(rows, indent=2), cfg.output)
+        _write_output(json.dumps(rows, indent=2), output)
         return 0
     lines = ["N,value,entry_error"]
     for r in reps:
         lines.append(f"{r.truncation},{r.value:.12g},{r.entry_error_bound:.12g}")
     for prev, cur in zip(reps, reps[1:]):
-        if cur.value > prev.value + 2.0 * cfg.tol:
+        if cur.value > prev.value + 2.0 * tol:
             lines.append(
                 f"# monotonicity violation at N={cur.truncation}: "
                 f"+{cur.value - prev.value:.3g} over N={prev.truncation}"
             )
-    _write_output("\n".join(lines) + "\n", cfg.output)
+    _write_output("\n".join(lines) + "\n", output)
     return 0
 
 
-def cmd_verify(cfg: JobConfig) -> int:
+def cmd_verify(perturb_oracle: float) -> int:
     from .verify import run_catalog
 
-    failures = run_catalog(perturb_oracle=cfg.perturb_oracle)
+    failures = run_catalog(perturb_oracle=perturb_oracle)
     return 1 if failures else 0
 
 
@@ -232,38 +224,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args) -> JobConfig:
-    inner = blaschke_from_json(_load_json_arg(args.inner)) if getattr(args, "inner", None) else None
-    symbol = symbol_from_json(_load_json_arg(args.symbol)) if getattr(args, "symbol", None) else None
-    truncs: List[int] = []
-    if getattr(args, "truncations", None):
-        truncs = [int(t) for t in str(args.truncations).split(",") if t.strip()]
-    fmt = getattr(args, "format", None) or ("csv" if args.command == "sweep" else "json")
-    return JobConfig(
-        command=args.command,
-        inner=inner,
-        symbol=symbol,
-        tol=getattr(args, "tol", DEFAULT_TOL),
-        truncations=truncs,
-        output=getattr(args, "output", None),
-        format=fmt,
-        perturb_oracle=getattr(args, "perturb_oracle", 0.0),
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if cfg.command == "minmod":
-            return cmd_minmod(cfg)
-        if cfg.command == "sweep":
-            return cmd_sweep(cfg)
-        return cmd_verify(cfg)
+        if args.command == "verify":
+            if not math.isfinite(args.perturb_oracle):
+                raise ValueError(f"--perturb-oracle must be finite, got {args.perturb_oracle!r}")
+            return cmd_verify(args.perturb_oracle)
+        inner = blaschke_from_json(_load_json_arg(args.inner)) if args.inner else None
+        symbol = symbol_from_json(_load_json_arg(args.symbol)) if args.symbol else None
+        truncs = [int(t) for t in (getattr(args, "truncations", None) or "").split(",") if t.strip()]
+        _check_tol(args.tol)
+        if any(b <= a for a, b in zip(truncs, truncs[1:])):
+            raise ValueError("truncations must be strictly increasing")
+        if args.command == "minmod":
+            return cmd_minmod(inner, symbol, args.tol, args.format or "json", args.output)
+        return cmd_sweep(inner, symbol, truncs, args.tol, args.format or "csv", args.output)
     except SymbolClassError as exc:
         print(f"unsupported symbol class: {exc}", file=sys.stderr)
         return 3

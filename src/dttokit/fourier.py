@@ -115,21 +115,6 @@ def _stack_windows(windows, lo: int, hi: int) -> np.ndarray:
     return rows
 
 
-def _trim_zero_edges(w: FourierWindow) -> FourierWindow:
-    """w without the exact-zero coefficients at either end of its block.
-
-    The dropped coefficients are exact zeros, so the window stands for the
-    same function with the same tail, and products, pairings and blocks
-    read from it need no more than its nonzero support.  An all-zero
-    window keeps one coefficient.
-    """
-    nz = np.flatnonzero(w.coeffs)
-    a, b = (int(nz[0]), int(nz[-1])) if nz.size else (0, 0)
-    if a == 0 and b == len(w.coeffs) - 1:
-        return w
-    return FourierWindow(w.offset + a, w.coeffs[a : b + 1], w.tail_bound)
-
-
 def _smooth_numbers(limit: int) -> tuple:
     """Every 5-smooth integer 2^a 3^b 5^c <= limit, in increasing order."""
     out = []
@@ -415,18 +400,23 @@ def _blaschke_product_window(zeros, tol: float) -> FourierWindow:
 
 @dataclass(frozen=True, eq=False)
 class LaurentPoly:
-    """Finite Laurent polynomial: coeffs[j] multiplies z^(offset + j)."""
+    """Finite Laurent polynomial: coeffs[j] multiplies z^(offset + j),
+    stored from the first nonzero coefficient to the last (the zero
+    polynomial as LaurentPoly(0, [0]))."""
 
     offset: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.complex128).copy()
+        arr = np.asarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("Laurent polynomial needs a nonempty coefficient vector")
+        nz = np.flatnonzero(arr)
+        a, b = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 1)
+        arr = arr[a:b].copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "offset", int(self.offset) + a if nz.size else 0)
 
 
 @dataclass(frozen=True)
@@ -556,10 +546,7 @@ def _fold_wrappers(phi: SymbolExpr):
 
 def _monomial(phi: LaurentPoly):
     """(power, coefficient) when phi has at most one nonzero term, else None."""
-    nz = np.flatnonzero(phi.coeffs)
-    if nz.size > 1:
-        return None
-    return (0, 0j) if nz.size == 0 else (phi.offset + int(nz[0]), complex(phi.coeffs[nz[0]]))
+    return (phi.offset, complex(phi.coeffs[0])) if len(phi.coeffs) == 1 else None
 
 
 def constant_value(phi: SymbolExpr) -> Optional[complex]:
@@ -596,8 +583,7 @@ def is_analytic(phi: SymbolExpr) -> bool:
     conjugate of a quotient with zeros never is analytic."""
     core, _, odd = _fold_wrappers(phi)
     if isinstance(core, LaurentPoly):
-        nz = np.flatnonzero(core.coeffs)
-        return nz.size == 0 or core.offset + int(nz[0]) >= 0
+        return core.offset >= 0
     if isinstance(core, BlaschkeQuotient):
         return not odd and core.z_power >= 0
     if isinstance(core, PiecewiseArcs):
@@ -677,12 +663,13 @@ def _piecewise_window(phi: PiecewiseArcs, lo: int, hi: int) -> FourierWindow:
 
 
 def symbol_to_window(phi: SymbolExpr, lo: int, hi: int, tol: float) -> FourierWindow:
-    """Coefficient window of phi covering at least [lo, hi].
+    """Coefficient window of phi.
 
-    For rational variants the window is widened automatically until the
-    certified geometric tail is <= tol (the result may extend beyond the
-    requested interval).  For PiecewiseArcs the window covers exactly
-    [lo, hi] and the O(1/n) tail is reported as-is, not forced under tol.
+    A rational symbol's window is its certified block at its own support,
+    whatever [lo, hi], widened for a quotient until the geometric tail is
+    <= tol; both edge coefficients are nonzero unless a product of zeros
+    below about 1e-154 in modulus underflows.  For PiecewiseArcs the
+    window covers exactly [lo, hi] and the O(1/n) tail is reported as-is.
     """
     if lo > hi:
         raise ValueError("empty index interval")
@@ -691,20 +678,20 @@ def symbol_to_window(phi: SymbolExpr, lo: int, hi: int, tol: float) -> FourierWi
     if isinstance(core, PiecewiseArcs):
         return _piecewise_window(core, lo, hi)
     if isinstance(core, LaurentPoly):
-        w = FourierWindow(core.offset, core.coeffs, 0.0)
-    elif isinstance(core, BlaschkeQuotient):
-        # certified block: every omitted coefficient is covered by the tail
-        w = _blaschke_product_window(core.zeros, tol)
-        w = window_shift(window_scale(w, core.constant), core.z_power)
-    else:
+        return FourierWindow(core.offset, core.coeffs, 0.0)
+    if not isinstance(core, BlaschkeQuotient):
         raise TypeError(f"not a symbol: {phi!r}")
+    # certified block: every omitted coefficient is covered by the tail
+    w = _blaschke_product_window(core.zeros, tol)
+    w = window_shift(window_scale(w, core.constant), core.z_power)
     # only a quotient with zeros still carries a conjugation or a constant
-    if odd:
-        lo, hi = -hi, -lo
-    lo, hi = min(lo, w.lo), max(hi, w.hi)
-    w = FourierWindow(lo, _coeffs_over(w, lo, hi), w.tail_bound)
     w = window_conjugate(w) if odd else w
-    return window_add(w, delta_window(0, c)) if c != 0 else w
+    if c == 0:
+        return w
+    # c can cancel an edge coefficient at index 0, which the Laurent form drops
+    s = window_add(w, delta_window(0, c))
+    p = LaurentPoly(s.offset, s.coeffs)
+    return FourierWindow(p.offset, p.coeffs, s.tail_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -112,11 +112,6 @@ def _require_unimodular(phi: SymbolExpr):
         raise SymbolClassError("this route requires a unimodular symbol")
 
 
-def _require_nonconstant(u: BlaschkeProduct):
-    if u.degree < 1:
-        raise SymbolClassError("inner function must be nonconstant")
-
-
 def min_modulus_unimodular(
     u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12
 ) -> MinModReport:
@@ -127,7 +122,6 @@ def min_modulus_unimodular(
     conj(phi) on the model space: a dim x dim computation, no truncation.
     """
     _require_unimodular(phi)
-    _require_nonconstant(u)
     basis = tm_basis(u, tol)
     a = truncated_toeplitz(basis, conjugated(phi), tol)
     return MinModReport(sigma_min(a), "finite_exact", None, a.sv_perturbation())
@@ -144,7 +138,6 @@ def min_modulus_toeplitz_hankel(
     combined entry error.
     """
     _require_unimodular(phi)
-    _require_nonconstant(u)
     basis = tm_basis(u, tol)
     g = corner_gram(basis, conjugated(phi), tol)
     lam_max = float(np.linalg.eigvalsh(g.entries)[-1])
@@ -162,7 +155,6 @@ def min_modulus_bounds(
     corner pieces T_{conj(u phi)} and H_{conj(phi)} restricted to K_u.
     """
     _require_unimodular(phi)
-    _require_nonconstant(u)
     basis = tm_basis(u, tol)
     t_imgs, h_imgs = corner_images(basis, conjugated(phi), tol)
     t_sq = float(np.linalg.eigvalsh(gram_matrix(t_imgs))[-1])
@@ -184,7 +176,6 @@ def min_modulus_corner(
     Inner phi admits both; the Hankel-norm route sqrt(1 - |H_{conj(u) phi}|^2)
     is attached as the oracle cross-value.
     """
-    _require_nonconstant(u)
     unimod = is_unimodular(phi)
     analytic = is_analytic(phi)
     if not (unimod or analytic):
@@ -228,7 +219,8 @@ def galerkin_sweep(
         raise ValueError("schedule must be nonempty")
     if any(n < 1 for n in schedule):
         raise ValueError("truncations must be >= 1")
-    _require_nonconstant(u)
+    if u.degree < 1:
+        raise SymbolClassError("inner function must be nonconstant")
     reports = []
     for n in schedule:
         block = _dtto_rectangular(u, phi, n, tol)

@@ -17,6 +17,7 @@ import numpy as np
 from .fourier import (
     BlaschkeProduct,
     FourierWindow,
+    SymbolClassError,
     blaschke_factor_coeffs,
     delta_window,
     geometric_window,
@@ -39,7 +40,10 @@ class ModelBasis:
 
     inner: BlaschkeProduct
     basis: tuple
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
     def window_width(self) -> int:
         return max(e.hi for e in self.basis)
@@ -71,17 +75,17 @@ def tm_basis(u: BlaschkeProduct, tol: float = 1e-12) -> ModelBasis:
 
     Widens the windows automatically if the numerical Gram defect exceeds
     the 1e-10 target.  Rejects constant inner functions (degree 0), whose
-    model space is trivial.
+    model space is trivial, with SymbolClassError.
     """
     if u.degree < 1:
-        raise ValueError("inner function must be nonconstant (degree >= 1)")
+        raise SymbolClassError("inner function must be nonconstant")
     _check_tol(tol)
     build_tol = tol
     for _ in range(4):
         elements = _build_windows(u, build_tol)
         defect = np.abs(gram_matrix(elements) - np.eye(u.degree)).max()
         if defect <= GRAM_DEFECT_LIMIT:
-            return ModelBasis(u, tuple(elements), u.degree)
+            return ModelBasis(u, tuple(elements))
         build_tol /= 100.0
     raise RuntimeError("could not reach the Gram orthonormality target; zeros too extreme")
 

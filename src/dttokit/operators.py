@@ -29,7 +29,6 @@ from .fourier import (
     window_multiply,
     window_shift,
     _coeffs_over,
-    _trim_zero_edges,
 )
 from .modelspace import ModelBasis, gram_matrix
 
@@ -108,15 +107,10 @@ def dual_toeplitz_matrix(phi: SymbolExpr, size: int, tol: float = 1e-12) -> Oper
 
 
 def _symbol_window_for_basis(phi: SymbolExpr, basis: ModelBasis, tol: float) -> FourierWindow:
-    """Window of phi for products with the basis elements, W the basis width.
-
-    A piecewise symbol covers [-W - 1, W + 1] with its O(1/n) tail.  A
-    rational one is trimmed to the nonzero support of its certified
-    block, so a Laurent symbol enters every product with its own few
-    coefficients rather than 2W + 3 of them, nearly all zero.
-    """
+    """Window of phi for products with the basis elements: over [-W - 1, W + 1],
+    W the basis width, if phi is piecewise, else its own certified block."""
     wb = basis.window_width()
-    return _trim_zero_edges(symbol_to_window(phi, -wb - 1, wb + 1, tol))
+    return symbol_to_window(phi, -wb - 1, wb + 1, tol)
 
 
 def truncated_toeplitz(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -> OperatorMatrix:
@@ -176,7 +170,7 @@ def corner_gram(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -> Opera
 
 def _dtto_windows(u: BlaschkeProduct, phi: SymbolExpr, n: int, tol: float):
     """Windows of phi, u phi and u conj(phi), whose coefficients fill the blocks."""
-    phi_w = _trim_zero_edges(symbol_to_window(phi, -2 * n, 2 * n, tol))
+    phi_w = symbol_to_window(phi, -2 * n, 2 * n, tol)
     uw = u.window(tol)
     return phi_w, window_multiply(uw, phi_w), window_multiply(uw, window_conjugate(phi_w))
 
@@ -218,10 +212,9 @@ def _dtto_rectangular(
     """Rectangular block of the dual truncated Toeplitz operator: all 2n
     input monomials and n + width + 1 output coordinates of each kind.
 
-    The windows are certified to a tail of tol/(2 sqrt(n)) and trimmed to
-    their nonzero support, whose reach max(|lo|, hi) is width; every
-    further output row would be exactly zero, so the image of every input
-    basis vector is kept up to a tail <= tol/sqrt(n)."""
+    The windows are certified to a tail of tol/(2 sqrt(n)) and reach
+    max(|lo|, hi) = width; every further output row would be exactly zero,
+    so the image of every input basis vector is kept up to a tail <= tol/sqrt(n)."""
     col_tol = tol / np.sqrt(max(1, n))
     windows = _dtto_windows(u, phi, n, col_tol / 2.0)
     width = max(max(abs(w.lo), w.hi) for w in windows)

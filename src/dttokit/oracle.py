@@ -27,7 +27,6 @@ from .fourier import (
     symbol_to_window,
     _divides,
     _fold_wrappers,
-    _trim_zero_edges,
 )
 from .operators import _hankel_view
 
@@ -207,7 +206,7 @@ def truncated_toeplitz_norm_hankel(
     if quot is not None and _divides(u, quot):
         return 0.0
     uw = u.window(tol)
-    phi_w = _trim_zero_edges(symbol_to_window(phi, -1, max(uw.hi, 2 * size), tol))
+    phi_w = symbol_to_window(phi, -1, max(uw.hi, 2 * size), tol)
     w = window_multiply(window_conjugate(uw), phi_w)
     h = _hankel_view(w, -(2 * size - 1), size, size)[::-1, ::-1]
     return float(np.linalg.svd(h, compute_uv=False)[0])
@@ -218,7 +217,7 @@ def _oracle_for(u: Optional[BlaschkeProduct], phi: SymbolExpr) -> Optional[float
     c = constant_value(phi)
     if c is not None:
         return abs(c)
-    quot = None if u is None else as_blaschke_quotient(phi)
+    quot = None if u is None or u.degree < 1 else as_blaschke_quotient(phi)
     if quot is None or quot.z_power < 0:
         return None
     if quot.z_power == 1 and not quot.zeros:

@@ -103,6 +103,19 @@ def test_minmod_exit_code_on_unsupported_class(capsys):
     assert main(["minmod", "--inner", U_Z2, "--symbol", weird]) == 3
 
 
+def test_constant_inner_function_is_an_unsupported_class(capsys):
+    constant_inner = '{"kind": "blaschke_product", "zeros": []}'
+    poly = '{"kind": "laurent", "offset": 0, "coeffs": [[1, 0], [0.5, 0]]}'
+    for argv in (
+        ["minmod", "--inner", constant_inner, "--symbol", PHI_Z],
+        ["minmod", "--inner", constant_inner, "--symbol", Q],
+        ["minmod", "--inner", constant_inner, "--symbol", poly],
+        ["sweep", "--inner", constant_inner, "--symbol", PHI_Z, "--truncations", "4"],
+    ):
+        assert main(argv) == 3
+        assert "inner function must be nonconstant" in capsys.readouterr().err
+
+
 def test_minmod_refuses_unreachable_window_width(capsys):
     # zeros at modulus 0.999999 need windows of about 16M coefficients
     near_circle = '{"kind": "blaschke_product", "zeros": [[0.999999, 0], [0, -0.5]]}'

@@ -141,7 +141,10 @@ def test_monomial_window_is_exact_delta():
 def test_quotient_window_two_sided_coefficients():
     alpha = 0.5
     w = symbol_to_window(BlaschkeQuotient(1.0, -1, (alpha,)), -6, 6, 1e-12)
-    assert w.lo <= -6 and w.hi >= 6
+    # the window starts at the quotient's lowest index, not at the requested -6
+    assert w.lo == -1 and w.hi >= 6
+    assert all(w.coeff_at(n) == 0 for n in range(-6, -1))
+    assert w.coeffs[0] != 0 and w.coeffs[-1] != 0
     assert abs(w.coeff_at(-1) + alpha) < 1e-15
     assert abs(w.coeff_at(0) - (1 - alpha**2)) < 1e-15
     for k in range(1, 6):

@@ -6,6 +6,9 @@ how an import cycle gets papered over.  The one cycle left is the
 ``verify.build_catalog`` imports ``cli``.  It goes away with ROADMAP
 item 1, whose span recorder lets ``verify`` stop calling the CLI's
 dispatcher; the allowance below must then shrink to nothing.
+
+Every private module-level helper also has a caller inside the package,
+so a helper cannot outlive its last caller.
 """
 
 import ast
@@ -79,3 +82,42 @@ def test_no_function_level_imports_of_package_modules():
     assert found - KNOWN_CYCLE == set()
     # the allowance names only imports that still exist
     assert KNOWN_CYCLE <= found
+
+
+def private_functions_without_callers(sources: dict) -> list:
+    """(module, name) of every module-level function whose name starts with
+    a single underscore and that no code in the given sources reads, other
+    than the function's own body.  ``sources`` maps module names to source
+    text; a read is a name or an attribute with the function's name."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and own.startswith("_"):
+                if not own.startswith("__"):
+                    defined.append((module, own))
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name is not None and name != own:
+                    read.add(name)
+    return [(module, name) for module, name in defined if name not in read]
+
+
+def test_the_caller_scan_sees_unread_and_self_recursive_helpers():
+    sources = {
+        "a": (
+            "def _used(): pass\n"
+            "def _unused(): pass\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "def __dunder__(): pass\n"
+            "class C:\n"
+            "    def _method(self): pass\n"
+        ),
+        "b": "from .a import _used\nimport a\nx = a._used() + _used()\n",
+    }
+    assert private_functions_without_callers(sources) == [("a", "_unused"), ("a", "_recursive")]
+
+
+def test_every_private_helper_has_a_caller():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert private_functions_without_callers(sources) == []

@@ -24,7 +24,15 @@ from dttokit import (
     window_inner_product,
 )
 from dttokit import operators, oracle
-from dttokit.fourier import Conjugate, delta_window, is_analytic, window_shift, window_sub
+from dttokit.fourier import (
+    Conjugate,
+    _coeffs_over,
+    delta_window,
+    is_analytic,
+    symbol_to_window,
+    window_shift,
+    window_sub,
+)
 from dttokit.operators import (
     OperatorMatrix,
     conjugate_sandwich,
@@ -348,7 +356,8 @@ def test_operator_matrix_invariants():
 
 
 # ---------------------------------------------------------------------------
-# symbol windows trimmed to their support against the zero-padded ones
+# symbol windows at their own support against ones zero-padded to the
+# requested index range
 
 
 def _polar(r, t):
@@ -373,12 +382,19 @@ _QUOTIENT = st.builds(
 _SYMBOLS = st.one_of(_LAURENT, _QUOTIENT, _QUOTIENT.map(Conjugate))
 
 
+def _padded_symbol_to_window(phi, lo, hi, tol):
+    """The symbol window zero-padded out to cover [lo, hi] as well."""
+    w = symbol_to_window(phi, lo, hi, tol)
+    lo, hi = min(lo, w.lo), max(hi, w.hi)
+    return FourierWindow(lo, _coeffs_over(w, lo, hi), w.tail_bound)
+
+
 def _padded(fn, *args):
-    """fn(*args) with the symbol windows left zero-padded to the requested
-    index range, as they were built before trimming."""
+    """fn(*args) with every symbol window the operators and the oracle
+    read zero-padded to the requested index range."""
     with pytest.MonkeyPatch.context() as mp:
         for module in (operators, oracle):
-            mp.setattr(module, "_trim_zero_edges", lambda w: w)
+            mp.setattr(module, "symbol_to_window", _padded_symbol_to_window)
         return fn(*args)
 
 
@@ -403,6 +419,20 @@ def test_trimmed_symbol_windows_give_the_padded_results(u, phi, n):
         trimmed = truncated_toeplitz_norm_hankel(*args)
         padded = _padded(truncated_toeplitz_norm_hankel, *args)
         assert abs(trimmed - padded) <= 1e-13 * max(1.0, padded)
+
+
+@settings(max_examples=40)
+@given(phi=_SYMBOLS, n=st.integers(1, 12))
+def test_monomial_blocks_read_the_same_entries_from_padded_windows(phi, n):
+    tol = 1e-9
+    for build, args in (
+        (toeplitz_matrix, (phi, n, n + 2, tol)),
+        (hankel_matrix, (phi, n + 2, n, tol)),
+        (dual_toeplitz_matrix, (phi, n, tol)),
+    ):
+        trimmed, padded = build(*args), _padded(build, *args)
+        assert np.array_equal(trimmed.entries, padded.entries)
+        assert trimmed.entry_error == padded.entry_error
 
 
 @settings(max_examples=25)

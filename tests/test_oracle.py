@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dttokit import (
     BlaschkeProduct,
@@ -415,6 +415,14 @@ _WINDOW_TOL = 1e-12
 _HALF_WIDTH = 24
 
 
+def _holds_its_support(offset, coeffs) -> bool:
+    """Both edge coefficients are nonzero, or the block is the zero
+    symbol's single coefficient at index 0."""
+    if not np.any(coeffs):
+        return offset == 0 and len(coeffs) == 1
+    return coeffs[0] != 0 and coeffs[-1] != 0
+
+
 def _window_by_hand(core, wrappers):
     """Window of the wrapped symbol from the core's own window, with each
     wrapper applied by the window primitives, innermost first."""
@@ -443,7 +451,14 @@ def test_nested_windows_and_values_match_the_hand_folded_symbol(core, wrappers, 
     scale = 1.0 + sum(abs(x) for x in wrappers if x is not None)
     w = symbol_to_window(nested, -_HALF_WIDTH, _HALF_WIDTH, _WINDOW_TOL)
     ref = _window_by_hand(core, wrappers)
-    assert w.lo <= -_HALF_WIDTH and w.hi >= _HALF_WIDTH
+    if isinstance(core, PiecewiseArcs):
+        assert (w.lo, w.hi) == (-_HALF_WIDTH, _HALF_WIDTH)
+    else:
+        outside = [n for n in range(-_HALF_WIDTH, _HALF_WIDTH + 1) if not w.lo <= n <= w.hi]
+        assert all(w.coeff_at(n) == 0 for n in outside)
+        # a product of zeros below about 1e-154 underflows to a zero edge
+        if all(z == 0 or abs(z) > 1e-100 for z in getattr(core, "zeros", ())):
+            assert _holds_its_support(w.offset, w.coeffs)
     lo, hi = min(w.lo, ref.lo), max(w.hi, ref.hi)
     gap = np.abs(_coeffs_over(w, lo, hi) - _coeffs_over(ref, lo, hi)).max()
     assert gap <= 1e-14 * scale
@@ -451,6 +466,38 @@ def test_nested_windows_and_values_match_the_hand_folded_symbol(core, wrappers, 
     # an angle strictly inside one of the piecewise arcs (0, 2), (2, pi), (pi, 2pi)
     theta = arc_start + t * (0.5 if arc_start == 2.0 else 1.0)
     assert abs(eval_symbol(nested, theta) - _value_by_hand(core, wrappers, theta)) <= 1e-14 * scale
+
+
+# quarter-integer zeros and constants, so that an added constant can cancel
+# a quotient's coefficient at index 0 exactly (and no product underflows)
+_dyadic_disc_points = st.builds(complex, *[st.integers(-2, 2).map(lambda k: k / 4)] * 2)
+
+
+@st.composite
+def _rational_symbols(draw):
+    """A Laurent polynomial with zeros anywhere among its coefficients, or
+    a Blaschke quotient, under any wrappers with dyadic constants."""
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.one_of(st.just(0j), _dyadic_complexes), min_size=1, max_size=6))
+        core = LaurentPoly(draw(st.integers(-4, 3)), coeffs)
+    else:
+        zeros = draw(st.lists(_dyadic_disc_points, max_size=3))
+        core = BlaschkeQuotient(draw(_units), draw(st.integers(-2, 2)), tuple(zeros))
+    return _wrap(core, draw(_wrapper_lists(_dyadic_complexes)))
+
+
+@settings(max_examples=300)
+@given(_rational_symbols())
+@example(SumConst(BlaschkeQuotient(1.0, 0, (0.5,)), 0.5))
+@example(Conjugate(SumConst(BlaschkeQuotient(1.0, 0, (0.5, -0.5)), 0.25)))
+def test_rational_symbols_and_their_windows_hold_their_support(phi):
+    core = phi
+    while isinstance(core, (Conjugate, SumConst)):
+        core = core.of if isinstance(core, Conjugate) else core.term
+    if isinstance(core, LaurentPoly):
+        assert _holds_its_support(core.offset, core.coeffs)
+    w = symbol_to_window(phi, -_HALF_WIDTH, _HALF_WIDTH, _WINDOW_TOL)
+    assert _holds_its_support(w.offset, w.coeffs)
 
 
 @settings(max_examples=100)

@@ -62,6 +62,14 @@ def test_schema_field_names():
     }
     doc2 = symbol_to_json(LaurentPoly(1, [1.0]))
     assert doc2 == {"kind": "laurent", "offset": 1, "coeffs": [[1.0, 0.0]]}
+    # Laurent polynomials are stored, and so re-emitted, from their first
+    # nonzero coefficient to their last; the zero polynomial sits at index 0
+    padded = {"kind": "laurent", "offset": -1, "coeffs": [[0, 0], [2, 0], [0, 0], [0, 1], [0, 0]]}
+    assert symbol_to_json(symbol_from_json(padded)) == {
+        "kind": "laurent", "offset": 0, "coeffs": [[2.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
+    }
+    zero = {"kind": "laurent", "offset": 3, "coeffs": [[0, 0], [0, 0]]}
+    assert symbol_to_json(symbol_from_json(zero)) == {"kind": "laurent", "offset": 0, "coeffs": [[0.0, 0.0]]}
     arcs = symbol_to_json(PiecewiseArcs(((0.0, np.pi, 1.0), (np.pi, 2 * np.pi, -1.0))))
     assert arcs["kind"] == "piecewise"
     assert set(arcs["arcs"][0]) == {"from", "to", "value"}
