@@ -29,10 +29,7 @@ from .operators import (
     corner_gram,
     truncated_toeplitz,
     _dtto_rectangular,
-    _symbol_window_for_basis,
-    _toeplitz_corner_images,
 )
-from .oracle import truncated_toeplitz_norm_hankel
 
 RANK_TOL_DEFAULT = 1e-8
 
@@ -169,33 +166,27 @@ def min_modulus_bounds(
 def min_modulus_corner(
     u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12
 ) -> MinModReport:
-    """Minimum modulus of the corner operator P_{K_u^perp} M_phi |_{K_u}.
+    """Minimum modulus of the corner operator B_phi = P_{K_u^perp} M_phi |_{K_u}.
 
-    Unimodular phi: sqrt(1 - |A_phi|^2).  Analytic phi: the smallest
-    singular value of T_{conj(u) phi} restricted to K_u, via its Gram.
-    Inner phi admits both; the Hankel-norm route sqrt(1 - |H_{conj(u) phi}|^2)
-    is attached as the oracle cross-value.
+    Unimodular phi: sqrt(1 - |A_phi|^2).  Analytic phi: sqrt(lambda_min(G)),
+    G the corner Gram, which is the matrix of B_phi* B_phi.  Inner phi
+    admits both; the Gram value is attached as the oracle cross-value.
     """
     unimod = is_unimodular(phi)
     analytic = is_analytic(phi)
     if not (unimod or analytic):
         raise SymbolClassError("corner route requires a unimodular or analytic symbol")
     basis = tm_basis(u, tol)
-    if unimod:
-        a = truncated_toeplitz(basis, phi, tol)
-        s = sigma_max(a)
-        value = float(np.sqrt(max(0.0, 1.0 - s * s)))
-        oracle = None
-        if analytic:
-            h = truncated_toeplitz_norm_hankel(u, phi, size=basis.window_width() + 16, tol=tol)
-            oracle = float(np.sqrt(max(0.0, 1.0 - h * h)))
-        return MinModReport(value, "finite_exact", None, a.sv_perturbation(), oracle)
-    t_imgs = _toeplitz_corner_images(basis, _symbol_window_for_basis(phi, basis, tol), tol)
-    g = gram_matrix(t_imgs)
-    lam_min = float(np.linalg.eigvalsh(g)[0])
-    value = float(np.sqrt(max(0.0, lam_min)))
-    err = max(img.tail_bound for img in t_imgs) * 2.0 * basis.dim
-    return MinModReport(value, "finite_exact", None, err)
+    gram_value = None
+    if analytic:
+        g = corner_gram(basis, phi, tol)
+        gram_value = float(np.sqrt(max(0.0, float(np.linalg.eigvalsh(g.entries)[0]))))
+        if not unimod:
+            return MinModReport(gram_value, "finite_exact", None, g.sv_perturbation())
+    a = truncated_toeplitz(basis, phi, tol)
+    s = sigma_max(a)
+    value = float(np.sqrt(max(0.0, 1.0 - s * s)))
+    return MinModReport(value, "finite_exact", None, a.sv_perturbation(), gram_value)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,11 @@ from .fourier import (
     SymbolExpr,
     project_analytic,
     project_antianalytic,
+    shift_symbol,
     symbol_to_window,
     window_conjugate,
     window_inner_product,
     window_multiply,
-    window_shift,
     _coeffs_over,
 )
 from .modelspace import ModelBasis, gram_matrix
@@ -126,8 +126,7 @@ def truncated_toeplitz(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -
 
 def compressed_shift(basis: ModelBasis) -> OperatorMatrix:
     """The compressed shift A_z; satisfies I - A* A = (S* u)(S* u)^*."""
-    a = window_inner_product([window_shift(e, 1) for e in basis.basis], basis.basis)
-    return OperatorMatrix(a, 2.0 * basis.max_tail())
+    return truncated_toeplitz(basis, shift_symbol(1))
 
 
 def corner_images(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12):
@@ -138,15 +137,10 @@ def corner_images(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12):
     in H^2_- (carried by H_phi).
     """
     phi_w = _symbol_window_for_basis(phi, basis, tol)
-    t_imgs = _toeplitz_corner_images(basis, phi_w, tol)
+    ubar_phi = window_multiply(window_conjugate(basis.inner.window(tol)), phi_w)
+    t_imgs = [project_analytic(window_multiply(ubar_phi, e)) for e in basis.basis]
     h_imgs = [project_antianalytic(window_multiply(phi_w, e)) for e in basis.basis]
     return t_imgs, h_imgs
-
-
-def _toeplitz_corner_images(basis: ModelBasis, phi_w: FourierWindow, tol: float):
-    """Images T_{conj(u) phi} e_k = P(conj(u) phi e_k), given the window of phi."""
-    ubar_phi = window_multiply(window_conjugate(basis.inner.window(tol)), phi_w)
-    return [project_analytic(window_multiply(ubar_phi, e)) for e in basis.basis]
 
 
 def corner_gram(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -> OperatorMatrix:

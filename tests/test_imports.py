@@ -8,7 +8,9 @@ item 1, whose span recorder lets ``verify`` stop calling the CLI's
 dispatcher; the allowance below must then shrink to nothing.
 
 Every private module-level helper also has a caller inside the package,
-so a helper cannot outlive its last caller.
+so a helper cannot outlive its last caller.  A ``_``-prefixed name that
+one module imports from another is listed below; the list must match the
+code exactly, so it can only shrink as helpers move to their one reader.
 """
 
 import ast
@@ -18,6 +20,23 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dttokit"
 PACKAGE = "dttokit"
 
 KNOWN_CYCLE = {("cli.cmd_verify", "verify"), ("verify.build_catalog", "cli")}
+
+# (importing module, module imported from, private name)
+KNOWN_PRIVATE_IMPORTS = {
+    ("cli", "fourier", "_check_tol"),
+    ("cli", "fourier", "_fold_wrappers"),
+    ("cli", "oracle", "_oracle_for"),
+    ("minmod", "operators", "_dtto_rectangular"),
+    ("modelspace", "fourier", "_check_tol"),
+    ("modelspace", "fourier", "_factor_width"),
+    ("modelspace", "fourier", "_factor_widths"),
+    ("modelspace", "fourier", "_stack_windows"),
+    ("operators", "fourier", "_coeffs_over"),
+    ("oracle", "fourier", "_divides"),
+    ("oracle", "fourier", "_fold_wrappers"),
+    ("oracle", "operators", "_hankel_view"),
+    ("verify", "oracle", "_oracle_for"),
+}
 
 
 def _package_modules(node) -> list:
@@ -121,3 +140,44 @@ def test_the_caller_scan_sees_unread_and_self_recursive_helpers():
 def test_every_private_helper_has_a_caller():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert private_functions_without_callers(sources) == []
+
+
+def private_name_imports(source: str, module: str) -> list:
+    """(module, imported-from module, name) for every name with a single
+    leading underscore that the given source imports from a dttokit
+    module, at any depth ('' for the package itself)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        # 'from . import x' names modules, not names inside one
+        if isinstance(node, ast.ImportFrom) and node.module is not None:
+            found.extend(
+                (module, origin, a.name)
+                for origin in _package_modules(node)
+                for a in node.names
+                if a.name.startswith("_") and not a.name.startswith("__")
+            )
+    return found
+
+
+def test_the_private_import_scan_sees_relative_absolute_and_nested_imports():
+    source = (
+        "from numpy import _private\n"
+        "from .fourier import _coeffs_over, window_add, __version__\n"
+        "from dttokit.oracle import _oracle_for as oracle_for\n"
+        "from dttokit import _hidden\n"
+        "def f():\n"
+        "    from .operators import _hankel_view\n"
+    )
+    assert sorted(private_name_imports(source, "m")) == [
+        ("m", "", "_hidden"),
+        ("m", "fourier", "_coeffs_over"),
+        ("m", "operators", "_hankel_view"),
+        ("m", "oracle", "_oracle_for"),
+    ]
+
+
+def test_private_names_imported_across_modules_are_the_known_ones():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(private_name_imports(path.read_text(encoding="utf-8"), path.stem))
+    assert found == KNOWN_PRIVATE_IMPORTS

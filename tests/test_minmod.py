@@ -5,9 +5,11 @@ from dttokit import (
     BlaschkeProduct,
     BlaschkeQuotient,
     Conjugate,
+    LaurentPoly,
     SymbolClassError,
     compressed_shift,
     constant_symbol,
+    corner_gram,
     dual_toeplitz_matrix,
     galerkin_sweep,
     inner_symbol,
@@ -187,7 +189,7 @@ def test_corner_shift_dim_one():
     for lam in (0.2, 0.7):
         rep = min_modulus_corner(BlaschkeProduct(1.0, (lam,)), Z)
         assert abs(rep.value - np.sqrt(1 - lam**2)) < 1e-10
-        # Hankel-norm cross-route rides along for inner symbols
+        # the corner-Gram value rides along as the cross-value for inner symbols
         assert rep.oracle_value is not None
         assert abs(rep.oracle_value - rep.value) < 1e-8
 
@@ -206,22 +208,39 @@ def test_corner_generic_multidim_near_zero(rng):
 
 
 def test_corner_analytic_route_matches_unimodular_for_inner(rng):
-    u = random_blaschke(rng, max_degree=3, max_modulus=0.7)
     phi = BlaschkeQuotient(1.0, 1, (0.3,))
-    rep_u = min_modulus_corner(u, phi)
-    # analytic route via the Toeplitz Gram, forced by a non-quotient wrapper
-    from dttokit import LaurentPoly
+    for _ in range(10):
+        u = random_blaschke(rng, max_degree=3, max_modulus=0.7)
+        rep = min_modulus_corner(u, phi)
+        assert abs(rep.value**2 - rep.oracle_value**2) <= 1e-7 + rep.entry_error_bound
+    # a non-unimodular analytic symbol takes the corner-Gram route alone
+    analytic = LaurentPoly(0, np.r_[0.25, 0.5])
+    rep = min_modulus_corner(u, analytic)
+    g = corner_gram(tm_basis(u), analytic)
+    assert rep.value == np.sqrt(max(0.0, np.linalg.eigvalsh(g.entries)[0]))
+    assert rep.entry_error_bound == g.sv_perturbation()
+    assert rep.oracle_value is None
 
-    analytic = LaurentPoly(0, np.r_[0.25, 0.5])  # not unimodular
-    rep_a = min_modulus_corner(u, analytic)
-    assert rep_a.value >= 0.0
-    assert rep_u.value <= 1.0
+
+def test_corner_factorizes_nothing_larger_than_the_model_space(monkeypatch):
+    shapes = []
+    for name in ("svd", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    u = BlaschkeProduct(1.0, (0.9, 0.9j, -0.5))
+    for phi in (Z, BlaschkeQuotient(1.0, 1, (0.3,)), LaurentPoly(0, [0.25, 0.5])):
+        shapes.clear()
+        min_modulus_corner(u, phi, 1e-9)
+        assert shapes and all(shape == (u.degree, u.degree) for shape in shapes), shapes
 
 
 def test_corner_rejects_other_classes():
     u = BlaschkeProduct(1.0, (0.5,))
-    from dttokit import LaurentPoly
-
     with pytest.raises(SymbolClassError):
         min_modulus_corner(u, LaurentPoly(-1, [1.0, 0.0, 1.0]))
 

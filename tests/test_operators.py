@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dttokit import (
     BlaschkeProduct,
@@ -400,6 +400,19 @@ def _padded(fn, *args):
 
 @settings(max_examples=40)
 @given(u=_INNERS, phi=_SYMBOLS, n=st.integers(1, 12))
+# the Galerkin bounds of equal-height blocks differ by an ulp of roundoff here
+@example(
+    u=BlaschkeProduct(1.0, (0.0, 0.0, 0.5, 0.75)),
+    phi=BlaschkeQuotient(
+        1.0,
+        0,
+        (
+            0.8245049593687673 * np.exp(3.499527559113243j),
+            0.2525351310867481 * np.exp(0.3750381433132193j),
+        ),
+    ),
+    n=7,
+)
 def test_trimmed_symbol_windows_give_the_padded_results(u, phi, n):
     tol = 1e-9
     basis = tm_basis(u, tol)
@@ -413,7 +426,8 @@ def test_trimmed_symbol_windows_give_the_padded_results(u, phi, n):
     trimmed = galerkin_sweep(u, phi, [n], tol)[0]
     padded = _padded(galerkin_sweep, u, phi, [n], tol)[0]
     assert abs(trimmed.value - padded.value) <= 1e-13
-    assert trimmed.entry_error_bound <= padded.entry_error_bound
+    # a trimmed block may have fewer rows, never a larger bound beyond roundoff
+    assert trimmed.entry_error_bound <= (1 + 4 * EPS) * padded.entry_error_bound
     if is_analytic(phi):
         args = (u, phi, 2 * n + 8, tol)
         trimmed = truncated_toeplitz_norm_hankel(*args)

@@ -446,6 +446,8 @@ def _value_by_hand(core, wrappers, theta):
     st.floats(0.1, 1.9),
     st.sampled_from((0.0, 2.0, np.pi)),
 )
+# the product of the zeros underflows: the window is [0, -4e-205j, 1]
+@example(BlaschkeQuotient(1.0, 0, (2e-205j, 2e-205j)), [], 0.1, 0.0)
 def test_nested_windows_and_values_match_the_hand_folded_symbol(core, wrappers, t, arc_start):
     nested = _wrap(core, wrappers)
     scale = 1.0 + sum(abs(x) for x in wrappers if x is not None)
