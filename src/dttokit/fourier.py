@@ -14,6 +14,7 @@ come with a per-entry error certificate.
 """
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -26,8 +27,9 @@ _PAIRING_BLOCK = 2048  # indices per stacked block in window_inner_product
 # 2-vCPU x86 host with numpy 2.4 the FFT product wins from here on for long
 # factors of 2k to 50k coefficients; the crossover rises to about 300 at 300k.
 _DIRECT_PRODUCT_MAX = 128
-# Largest predicted Blaschke product window, in coefficients.  A degree-2
-# product with zeros at modulus 0.9999 needs about 0.5M at tol 1e-12.
+# Largest index a Blaschke product window may reach, refused before it is
+# built.  A degree-2 product with zeros at modulus 0.9999 reaches about 0.5M
+# at tol 1e-12.
 _MAX_WINDOW_WIDTH = 1 << 20
 # Largest tabulated FFT length.  The longest product the width refusal
 # admits is conj(u) phi e_k in the corner images, with u and e_k at most
@@ -86,7 +88,14 @@ class FourierWindow:
 
     def norm(self) -> float:
         """l2 norm of the stored block."""
-        return float(np.linalg.norm(self.coeffs))
+        return self._norm
+
+    @functools.cached_property
+    def _norm(self) -> float:
+        # computed on first use and kept, as numpy.linalg.norm sums it: the
+        # coefficients are read-only
+        re, im = self.coeffs.real, self.coeffs.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
 
     def eval_at(self, z: complex) -> complex:
         """Sum c_n z^n over the stored block (z != 0 if lo < 0)."""
@@ -314,23 +323,6 @@ def _factor_width(r: float, tol: float) -> int:
     return max(n, 1)
 
 
-def _factor_widths(zeros, budget: float) -> list:
-    """Expansion length of each Blaschke factor at the l2 tail budget.
-
-    A product of the factor windows, or of the basis windows built from
-    them, has about sum(widths) coefficients.  That predicted width is
-    refused with SymbolClassError above _MAX_WINDOW_WIDTH, before any
-    window is allocated.
-    """
-    widths = [_factor_width(abs(lam), budget) for lam in zeros]
-    if sum(widths) > _MAX_WINDOW_WIDTH:
-        raise SymbolClassError(
-            f"predicted window width {sum(widths)} exceeds {_MAX_WINDOW_WIDTH}; "
-            "zeros too close to the unit circle for this tolerance"
-        )
-    return widths
-
-
 def _checked_inner_data(constant, zeros):
     """(constant, zeros) as complex values, after checking |constant| = 1
     within 1e-12 and |z| < 1 for every zero; NaN fails both checks."""
@@ -379,18 +371,59 @@ class BlaschkeProduct:
         return window_scale(_blaschke_product_window(self.zeros, tol), self.unimodular_constant)
 
 
+@functools.lru_cache(maxsize=2)
+def _takenaka_windows(zeros: tuple, tol: float):
+    """Takenaka-Malmquist elements (e_1, ..., e_d) of the zeros and their
+    Blaschke product window p_{d+1}, from one recurrence at the per-factor
+    l2 budget tol/(2(d+1)).  With p_1 = 1, s_k = sqrt(1 - |lam_k|^2) and
+    g_k the geometric window of lam_k up to index n_k,
+
+        e_k = s_k g_k p_k,    p_{k+1} = -lam_k p_k + s_k z e_k
+
+    (the shift z e_k when lam_k = 0): one Cauchy product per zero.
+    p_{k+1} is p_k times the factor of lam_k cut after index n_k + 1.  The
+    true p_k is unimodular and the cut factor is at most
+    1 + (1 + r) r^(n_k+1) on the circle, so
+    s_k r^(n_k+1) + (1 + (1 + r) r^(n_k+1)) tail(p_k) bounds its tail.
+    Widths past _MAX_WINDOW_WIDTH are refused before anything is
+    allocated.  The last two (zeros, tol) requests stay cached, so one job
+    builds the basis and product window of each inner function once.
+    """
+    budget = tol / (2.0 * (len(zeros) + 1))
+    widths = [_factor_width(abs(lam), budget) for lam in zeros]
+    reach = sum(widths) + len(widths)  # last index of p_{d+1}, the widest window
+    if reach > _MAX_WINDOW_WIDTH:
+        raise SymbolClassError(
+            f"predicted window width {reach} exceeds {_MAX_WINDOW_WIDTH}; "
+            "zeros too close to the unit circle for this tolerance"
+        )
+    elements = []
+    p = delta_window(0)
+    for lam, n in zip(zeros, widths):
+        r = abs(lam)
+        s = math.sqrt(1.0 - r * r)
+        e = window_scale(window_multiply(geometric_window(lam, n), p), s)
+        elements.append(e)
+        if lam == 0:
+            p = window_shift(e, 1)
+            continue
+        c = np.zeros(len(e.coeffs) + 1, dtype=np.complex128)
+        c[: len(p.coeffs)] = -lam * p.coeffs
+        c[1:] += s * e.coeffs
+        cut = r ** (n + 1)
+        p = FourierWindow(p.offset, c, s * cut + (1.0 + (1.0 + r) * cut) * p.tail_bound)
+    return tuple(elements), p
+
+
 def _blaschke_product_window(zeros, tol: float) -> FourierWindow:
     if not zeros:
         return delta_window(0)
-    d = len(zeros)
-    budget = tol / (2.0 * d)
+    build_tol = tol
     for _ in range(8):
-        w = delta_window(0)
-        for lam, n in zip(zeros, _factor_widths(zeros, budget)):
-            w = window_multiply(w, blaschke_factor_coeffs(lam, n))
+        w = _takenaka_windows(zeros, build_tol)[1]
         if w.tail_bound <= tol:
             return w
-        budget /= 8.0
+        build_tol /= 8.0
     raise RuntimeError("could not certify Blaschke product tail; zeros too close to the circle")
 
 

@@ -18,8 +18,6 @@ from .fourier import (
     BlaschkeProduct,
     FourierWindow,
     SymbolClassError,
-    blaschke_factor_coeffs,
-    delta_window,
     geometric_window,
     window_add,
     window_inner_product,
@@ -27,8 +25,8 @@ from .fourier import (
     window_scale,
     _check_tol,
     _factor_width,
-    _factor_widths,
     _stack_windows,
+    _takenaka_windows,
 )
 
 GRAM_DEFECT_LIMIT = 1e-10
@@ -52,19 +50,6 @@ class ModelBasis:
         return max(e.tail_bound for e in self.basis)
 
 
-def _build_windows(u: BlaschkeProduct, tol: float) -> list:
-    budget = tol / (2.0 * (u.degree + 1))
-    elements = []
-    partial = delta_window(0)
-    for lam, n in zip(u.zeros, _factor_widths(u.zeros, budget)):
-        r = abs(lam)
-        geom = geometric_window(lam, n)
-        e = window_scale(window_multiply(geom, partial), np.sqrt(1.0 - r * r))
-        elements.append(e)
-        partial = window_multiply(partial, blaschke_factor_coeffs(lam, n))
-    return elements
-
-
 def gram_matrix(windows) -> np.ndarray:
     """Gram matrix G[j, k] = <w_k, w_j> of a sequence of windows."""
     return window_inner_product(windows, windows)
@@ -82,10 +67,10 @@ def tm_basis(u: BlaschkeProduct, tol: float = 1e-12) -> ModelBasis:
     _check_tol(tol)
     build_tol = tol
     for _ in range(4):
-        elements = _build_windows(u, build_tol)
+        elements = _takenaka_windows(u.zeros, build_tol)[0]
         defect = np.abs(gram_matrix(elements) - np.eye(u.degree)).max()
         if defect <= GRAM_DEFECT_LIMIT:
-            return ModelBasis(u, tuple(elements))
+            return ModelBasis(u, elements)
         build_tol /= 100.0
     raise RuntimeError("could not reach the Gram orthonormality target; zeros too extreme")
 

@@ -24,10 +24,14 @@ from dttokit.fourier import (
     _DIRECT_PRODUCT_MAX,
     _FFT_TABLE_MAX,
     _MAX_WINDOW_WIDTH,
+    _coeffs_over,
+    _factor_width,
     _fft_length,
     _geometric_powers,
+    _takenaka_windows,
     delta_window,
     geometric_window,
+    window_scale,
     window_shift,
     window_sub,
 )
@@ -72,6 +76,33 @@ def test_blaschke_factor_tail_certifies_next_block():
         long = blaschke_factor_coeffs(lam, 2 * n_max)
         mass = np.linalg.norm(long.coeffs[n_max + 1 :])
         assert mass <= short.tail_bound
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [(0j,), (0j, 0.5, 0j), (0.6, 0.6, 0.6j), (0.99, -0.4 + 0.3j), (0.99j, 0.99j, 0.3)],
+)
+def test_takenaka_recurrence_matches_the_factor_chain(zeros):
+    # reference: e_k = s_k g_k p_k with p_{k+1} = p_k * (factor cut after n_k + 1),
+    # each step a full Cauchy product; and a chain cut four times further out
+    tol = 1e-9
+    elements, p = _takenaka_windows(zeros, tol)
+    budget = tol / (2.0 * (len(zeros) + 1))
+    ref, long_ref = delta_window(0), delta_window(0)
+    for lam, e in zip(zeros, elements):
+        n = _factor_width(abs(lam), budget)
+        ref_e = window_scale(window_multiply(geometric_window(lam, n), ref), np.sqrt(1 - abs(lam) ** 2))
+        assert (e.lo, e.hi) == (ref_e.lo, ref_e.hi)
+        assert np.abs(e.coeffs - ref_e.coeffs).max() <= 4e-16
+        ref = window_multiply(ref, blaschke_factor_coeffs(lam, n + 1))
+        long_ref = window_multiply(long_ref, blaschke_factor_coeffs(lam, 4 * n + 8))
+    assert (p.lo, p.hi) == (ref.lo, ref.hi)
+    assert p.coeffs[0] != 0 and p.coeffs[-1] != 0
+    assert np.abs(p.coeffs - ref.coeffs).max() <= 4e-16
+    gap = np.linalg.norm(_coeffs_over(long_ref, 0, long_ref.hi) - _coeffs_over(p, 0, long_ref.hi))
+    # one nonzero zero makes the bound an equality, up to roundoff in the gap
+    assert gap <= p.tail_bound + long_ref.tail_bound + 1e-15
+    assert p.tail_bound <= tol
 
 
 _EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
@@ -382,6 +413,12 @@ def test_parseval_for_rational_windows(rng):
 
 # ---------------------------------------------------------------------------
 # data model validation
+
+
+def test_window_norm_is_the_block_l2_norm():
+    w = FourierWindow(-2, np.array([3.0, 4.0j, 0.0, -12.0]))
+    assert w.norm() == 13.0
+    assert w.norm() == np.linalg.norm(w.coeffs)
 
 
 def test_window_invariants():

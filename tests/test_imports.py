@@ -29,8 +29,8 @@ KNOWN_PRIVATE_IMPORTS = {
     ("minmod", "operators", "_dtto_rectangular"),
     ("modelspace", "fourier", "_check_tol"),
     ("modelspace", "fourier", "_factor_width"),
-    ("modelspace", "fourier", "_factor_widths"),
     ("modelspace", "fourier", "_stack_windows"),
+    ("modelspace", "fourier", "_takenaka_windows"),
     ("operators", "fourier", "_coeffs_over"),
     ("oracle", "fourier", "_divides"),
     ("oracle", "fourier", "_fold_wrappers"),

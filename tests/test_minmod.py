@@ -23,6 +23,7 @@ from dttokit import (
     tm_basis,
 )
 from dttokit.cli import dispatch_minmod
+from dttokit.fourier import _takenaka_windows
 from dttokit.minmod import MinModReport
 from dttokit.modelspace import gram_matrix
 from dttokit.operators import OperatorMatrix
@@ -355,3 +356,26 @@ def test_long_window_basis_still_certifies():
     basis = tm_basis(u, 1e-12)
     assert basis.window_width() > 12_000
     assert np.abs(gram_matrix(basis.basis) - np.eye(u.degree)).max() <= 1e-10
+
+
+def test_one_dispatch_builds_the_windows_of_each_zero_set_once():
+    u = BlaschkeProduct(1.0, (0.5, -0.3j, 0.2 + 0.4j))
+    # the basis twice and u's window: one build of u's zeros
+    _takenaka_windows.cache_clear()
+    dispatch_minmod(u, shift_symbol(-1))
+    assert _takenaka_windows.cache_info()[:2] == (2, 1)
+    # a quotient symbol adds one build of its zeros, read by both routes
+    _takenaka_windows.cache_clear()
+    dispatch_minmod(u, BlaschkeQuotient(1.0, -1, (0.3,)))
+    assert _takenaka_windows.cache_info()[:2] == (3, 2)
+
+
+def test_inner_corner_builds_the_window_of_phi_once():
+    u = BlaschkeProduct(1.0, (0.5, -0.3j))
+    _takenaka_windows.cache_clear()
+    min_modulus_corner(u, LaurentPoly(1, [0.3, 1.0]))
+    assert _takenaka_windows.cache_info()[:2] == (1, 1)
+    # phi = z b_0.3 is inner: the Gram route and A_phi share its window
+    _takenaka_windows.cache_clear()
+    min_modulus_corner(u, BlaschkeQuotient(1.0, 1, (0.3,)))
+    assert _takenaka_windows.cache_info()[:2] == (2, 2)

@@ -9,7 +9,8 @@ from dttokit import (
     tm_basis,
     window_inner_product,
 )
-from dttokit.fourier import FourierWindow, delta_window, window_shift, window_sub
+from dttokit import modelspace
+from dttokit.fourier import FourierWindow, _takenaka_windows, delta_window, window_shift, window_sub
 from dttokit.modelspace import gram_matrix
 
 from conftest import random_blaschke
@@ -156,3 +157,25 @@ def test_projection_pythagoras(rng):
         total = window_inner_product(f, f).real
         split = window_inner_product(proj, proj).real + window_inner_product(resid, resid).real
         assert abs(total - split) < 1e-8
+
+
+def test_widening_retry_returns_wider_windows_never_the_rejected_ones(monkeypatch):
+    u = BlaschkeProduct(1.0, (0.9, -0.7j, 0.5 + 0.2j))
+    tol = 1e-3
+
+    def defect(elements):
+        return np.abs(gram_matrix(elements) - np.eye(u.degree)).max()
+
+    coarse = _takenaka_windows(u.zeros, tol)[0]
+    fine = _takenaka_windows(u.zeros, tol / 100.0)[0]
+    assert defect(fine) < defect(coarse)
+    # a limit between the two defects: the first attempt fails, the retry passes
+    monkeypatch.setattr(modelspace, "GRAM_DEFECT_LIMIT", np.sqrt(defect(coarse) * defect(fine)))
+    _takenaka_windows.cache_clear()
+    for _ in range(2):  # the second call finds the rejected windows cached
+        basis = tm_basis(u, tol)
+        assert basis.window_width() > max(e.hi for e in coarse)
+        for e, f in zip(basis.basis, fine):
+            assert (e.lo, e.hi) == (f.lo, f.hi)
+            assert np.array_equal(e.coeffs, f.coeffs)
+    assert _takenaka_windows.cache_info().misses == 2
