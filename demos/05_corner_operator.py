@@ -41,6 +41,6 @@ print()
 
 print("Truncated Toeplitz norms via the Hankel matrix (Nehari route):")
 u = BlaschkeProduct(1.0, (0.5,))
-print(f"  |A_z| on the b_0.5 space: {truncated_toeplitz_norm_hankel(u, Z, size=96):.10f}")
+print(f"  |A_z| on the b_0.5 space: {truncated_toeplitz_norm_hankel(u, Z):.10f}")
 u2 = BlaschkeProduct(1.0, (0.3, 0.6))
 print(f"  |A_u| (symbol divisible by u): {truncated_toeplitz_norm_hankel(u2, inner_symbol(u2))}")

@@ -467,19 +467,6 @@ class BlaschkeQuotient:
         object.__setattr__(self, "zeros", zs)
 
 
-def _divides(u: BlaschkeProduct, phi: BlaschkeQuotient, atol: float = 1e-12) -> bool:
-    """Whether u divides phi as inner functions (zero multisets match)."""
-    if phi.z_power < 0:
-        return False
-    pool = list(phi.zeros) + [0.0 + 0.0j] * phi.z_power
-    for lam in u.zeros:
-        hit = next((i for i, mu in enumerate(pool) if abs(mu - lam) <= atol), None)
-        if hit is None:
-            return False
-        pool.pop(hit)
-    return True
-
-
 @dataclass(frozen=True)
 class Conjugate:
     of: "SymbolExpr"
@@ -553,7 +540,8 @@ def _fold_wrappers(phi: SymbolExpr):
     Laurent and piecewise cores absorb c and the conjugation, a zero-free
     quotient as its monomial; only a quotient with zeros keeps them.  An
     unwrapped symbol comes back as is.  Windows, values and predicates
-    all read this core.
+    all read this core, so this is the one place that refuses a
+    non-symbol, with TypeError.
     """
     core, c, odd = phi, 0.0 + 0.0j, False
     while isinstance(core, (SumConst, Conjugate)):
@@ -562,6 +550,8 @@ def _fold_wrappers(phi: SymbolExpr):
         else:
             c += complex(core.constant).conjugate() if odd else complex(core.constant)
             core = core.term
+    if not isinstance(core, (LaurentPoly, BlaschkeQuotient, PiecewiseArcs)):
+        raise TypeError(f"not a symbol: {phi!r}")
     if (c == 0 and not odd) or (isinstance(core, BlaschkeQuotient) and core.zeros):
         return core, c, odd
     if isinstance(core, PiecewiseArcs):
@@ -569,8 +559,6 @@ def _fold_wrappers(phi: SymbolExpr):
         return PiecewiseArcs(arcs), 0j, False
     if isinstance(core, BlaschkeQuotient):
         core = LaurentPoly(core.z_power, [core.constant])
-    if not isinstance(core, LaurentPoly):
-        return core, c, odd
     w = FourierWindow(core.offset, core.coeffs)
     w = window_conjugate(w) if odd else w
     w = window_add(w, delta_window(0, c)) if c != 0 else w
@@ -590,10 +578,8 @@ def constant_value(phi: SymbolExpr) -> Optional[complex]:
         return term[1] if term is not None and term[0] == 0 else None
     if isinstance(core, BlaschkeQuotient):
         return core.constant if core.z_power == 0 and not core.zeros else None
-    if isinstance(core, PiecewiseArcs):
-        vals = [v for _, _, v in core.arcs]
-        return vals[0] if all(abs(v - vals[0]) <= 1e-15 for v in vals) else None
-    raise TypeError(f"not a symbol: {phi!r}")
+    vals = [v for _, _, v in core.arcs]
+    return vals[0] if all(abs(v - vals[0]) <= 1e-15 for v in vals) else None
 
 
 def is_unimodular(phi: SymbolExpr) -> bool:
@@ -619,9 +605,7 @@ def is_analytic(phi: SymbolExpr) -> bool:
         return core.offset >= 0
     if isinstance(core, BlaschkeQuotient):
         return not odd and core.z_power >= 0
-    if isinstance(core, PiecewiseArcs):
-        return constant_value(core) is not None
-    return False
+    return constant_value(core) is not None
 
 
 def as_blaschke_quotient(phi: SymbolExpr) -> Optional[BlaschkeQuotient]:
@@ -658,8 +642,6 @@ def eval_symbol(phi: SymbolExpr, theta: float) -> complex:
             if t0 < theta < t1:
                 return v
         raise ValueError("angle must lie in [0, 2pi)")
-    if not isinstance(core, BlaschkeQuotient):
-        raise TypeError(f"not a symbol: {phi!r}")
     v = core.constant * z**core.z_power
     for lam in core.zeros:
         v *= blaschke_factor_value(lam, z)
@@ -712,8 +694,6 @@ def symbol_to_window(phi: SymbolExpr, lo: int, hi: int, tol: float) -> FourierWi
         return _piecewise_window(core, lo, hi)
     if isinstance(core, LaurentPoly):
         return FourierWindow(core.offset, core.coeffs, 0.0)
-    if not isinstance(core, BlaschkeQuotient):
-        raise TypeError(f"not a symbol: {phi!r}")
     # certified block: every omitted coefficient is covered by the tail
     w = _blaschke_product_window(core.zeros, tol)
     w = window_shift(window_scale(w, core.constant), core.z_power)

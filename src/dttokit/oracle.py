@@ -7,13 +7,13 @@ spectra, normal-symbol bounds through the essential range, and the
 Hankel (Nehari) route to truncated Toeplitz norms.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .fourier import (
     BlaschkeProduct,
+    BlaschkeQuotient,
     LaurentPoly,
     PiecewiseArcs,
     SymbolClassError,
@@ -25,7 +25,6 @@ from .fourier import (
     window_conjugate,
     window_multiply,
     symbol_to_window,
-    _divides,
     _fold_wrappers,
 )
 from .operators import _hankel_view
@@ -56,8 +55,6 @@ def oracle_m_compressed_shift(u: BlaschkeProduct) -> float:
 
 def oracle_m_dual_shift(u: BlaschkeProduct) -> float:
     """Dichotomy for the dual shift: 0 if u(0) = 0, else |u(0)|."""
-    if u.degree < 1:
-        raise ValueError("inner function must be nonconstant")
     if any(z == 0 for z in u.zeros):
         return 0.0
     return oracle_m_compressed_shift(u)
@@ -67,8 +64,7 @@ def oracle_m_dual_shift(u: BlaschkeProduct) -> float:
 # essential range
 
 
-@dataclass(frozen=True)
-class EssRangeModel:
+class EssRangeModel(NamedTuple):
     """Computable model of an essential range on one horizontal line.
 
     kind = finite_set: distinct points;
@@ -77,17 +73,6 @@ class EssRangeModel:
 
     kind: str
     points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.complex128)
-        object.__setattr__(self, "points", pts)
-        if self.kind not in ("finite_set", "segment"):
-            raise ValueError(f"unknown essential-range kind: {self.kind!r}")
-        if self.kind == "segment" and len(pts) != 2:
-            raise ValueError("segment needs exactly two endpoints")
-
-    def is_convex(self) -> bool:
-        return self.kind == "segment" or (self.kind == "finite_set" and len(self.points) == 1)
 
 
 def _hermitian_part_split(phi: LaurentPoly):
@@ -181,7 +166,7 @@ def normal_dtto_bounds(phi: SymbolExpr):
     re, height = model.points.real, model.points[0].imag
     lower = float(np.hypot(np.clip(0.0, re.min(), re.max()), height))
     upper = lower if model.kind == "segment" else float(np.hypot(re, height).min())
-    exact = upper if model.is_convex() else None
+    exact = upper if model.kind == "segment" or len(model.points) == 1 else None
     return lower, upper, exact
 
 
@@ -189,16 +174,30 @@ def normal_dtto_bounds(phi: SymbolExpr):
 # Nehari route for truncated Toeplitz norms
 
 
+def _divides(u: BlaschkeProduct, phi: BlaschkeQuotient) -> bool:
+    """Whether u divides phi as inner functions (zero multisets match);
+    phi carries no negative power of z."""
+    pool = list(phi.zeros) + [0.0 + 0.0j] * phi.z_power
+    for lam in u.zeros:
+        hit = next((i for i, mu in enumerate(pool) if abs(mu - lam) <= 1e-12), None)
+        if hit is None:
+            return False
+        pool.pop(hit)
+    return True
+
+
 def truncated_toeplitz_norm_hankel(
-    u: BlaschkeProduct, phi: SymbolExpr, size: int = 64, tol: float = 1e-12
+    u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12
 ) -> float:
     """|A_phi| for analytic phi, as sigma_max of the Hankel matrix of
     conj(u) phi (the L-infinity distance from conj(u) phi to H^infinity by
     the Nehari theorem).
 
-    The truncated value is a lower bound converging upward; it is exact
-    (zero) when phi lies in u H-infinity, detected structurally for
-    symbols that fold to a Blaschke quotient divisible by u.
+    With W the top index of u's window, conj(u) phi has no coefficient
+    below -W, so the Hankel of side W + 1 holds all of it and the value is
+    exact up to u's window tail; a symbol that folds to a Blaschke quotient
+    divisible by u gives exactly 0.  The SVD costs O(W^3), so only the
+    catalog, the demos and the tests read this route.
     """
     if not is_analytic(phi):
         raise SymbolClassError("the Hankel norm route requires an analytic symbol")
@@ -206,9 +205,9 @@ def truncated_toeplitz_norm_hankel(
     if quot is not None and _divides(u, quot):
         return 0.0
     uw = u.window(tol)
-    phi_w = symbol_to_window(phi, -1, max(uw.hi, 2 * size), tol)
-    w = window_multiply(window_conjugate(uw), phi_w)
-    h = _hankel_view(w, -(2 * size - 1), size, size)[::-1, ::-1]
+    w = window_multiply(window_conjugate(uw), symbol_to_window(phi, -1, uw.hi, tol))
+    side = uw.hi + 1
+    h = _hankel_view(w, -(2 * side - 1), side, side)[::-1, ::-1]
     return float(np.linalg.svd(h, compute_uv=False)[0])
 
 

@@ -341,7 +341,7 @@ def build_catalog() -> List[CatalogItem]:
     ))
     add(CatalogItem(
         "nehari-shift-dim-one",
-        truncated_toeplitz_norm_hankel(u_half, Z, size=96),
+        truncated_toeplitz_norm_hankel(u_half, Z),
         0.5,
         1e-10,
     ))

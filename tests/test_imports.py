@@ -32,7 +32,6 @@ KNOWN_PRIVATE_IMPORTS = {
     ("modelspace", "fourier", "_stack_windows"),
     ("modelspace", "fourier", "_takenaka_windows"),
     ("operators", "fourier", "_coeffs_over"),
-    ("oracle", "fourier", "_divides"),
     ("oracle", "fourier", "_fold_wrappers"),
     ("oracle", "operators", "_hankel_view"),
     ("verify", "oracle", "_oracle_for"),

@@ -429,7 +429,7 @@ def test_trimmed_symbol_windows_give_the_padded_results(u, phi, n):
     # a trimmed block may have fewer rows, never a larger bound beyond roundoff
     assert trimmed.entry_error_bound <= (1 + 4 * EPS) * padded.entry_error_bound
     if is_analytic(phi):
-        args = (u, phi, 2 * n + 8, tol)
+        args = (u, phi, tol)
         trimmed = truncated_toeplitz_norm_hankel(*args)
         padded = _padded(truncated_toeplitz_norm_hankel, *args)
         assert abs(trimmed - padded) <= 1e-13 * max(1.0, padded)
