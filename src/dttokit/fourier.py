@@ -15,6 +15,7 @@ come with a per-entry error certificate.
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -27,9 +28,9 @@ _PAIRING_BLOCK = 2048  # indices per stacked block in window_inner_product
 # 2-vCPU x86 host with numpy 2.4 the FFT product wins from here on for long
 # factors of 2k to 50k coefficients; the crossover rises to about 300 at 300k.
 _DIRECT_PRODUCT_MAX = 128
-# Largest index a Blaschke product window may reach, refused before it is
-# built.  A degree-2 product with zeros at modulus 0.9999 reaches about 0.5M
-# at tol 1e-12.
+# Largest width the Takenaka-Malmquist and Blaschke product windows may
+# share, refused before they are built.  Zeros at modulus 0.9999 need about
+# 0.28M coefficients at tol 1e-12, whatever the degree.
 _MAX_WINDOW_WIDTH = 1 << 20
 # Largest tabulated FFT length.  The longest product the width refusal
 # admits is conj(u) phi e_k in the corner images, with u and e_k at most
@@ -371,60 +372,141 @@ class BlaschkeProduct:
         return window_scale(_blaschke_product_window(self.zeros, tol), self.unimodular_constant)
 
 
+def takenaka_realization(zeros: tuple):
+    """(A_z, e(0), eta): the d x d realization of the Takenaka-Malmquist
+    basis of the zeros, in long double, and a bound on its rounding.
+
+    A_z[j, k] = <z e_k, e_j> is lower triangular with diagonal lam_k, and
+    A_z[i, j] = s_i s_j prod_{j<k<i} (-conj lam_k) below it;
+    e(0)[k] = e_k(0) = s_k prod_{i<k} (-lam_i), with
+    s = sqrt((1 - |lam|)(1 + |lam|)).  Every f in the model space
+    satisfies f = f(0) + z S* f, and S* e = conj(A_z) e, so
+
+        e(z) = (I - z conj(A_z))^{-1} e(0),    e_hat(n) = conj(A_z)^n e(0).
+
+    Repeated zeros and zeros at 0 need no special case.  Each entry is a
+    product of at most d + 2 rounded factors, and |lam| is rounded once
+    before 1 - |lam| is formed, so every entry of A_z and e(0) is within
+    relative error eta = eps_ld (2 d + 4 + 1/(1 - max |lam|)) of its exact
+    value for the zeros as given, eps_ld the long-double epsilon.
+    """
+    lam = np.array(zeros, dtype=np.clongdouble)
+    d = len(lam)
+    r = np.abs(lam)
+    s = np.sqrt((1 - r) * (1 + r))
+    i, j = np.arange(d)[:, None], np.arange(d)
+    # column j accumulates -conj(lam_k) for k = j+1, j+2, ... down the rows
+    steps = np.where(i >= j + 2, -np.conj(lam)[i - 1], 1)
+    a = np.cumprod(steps, axis=0) * (s[:, None] * s) * (i > j)
+    a.flat[:: d + 1] = lam
+    e0 = s * np.cumprod(np.concatenate(([1], -lam[:-1])))
+    eta = float(np.finfo(np.longdouble).eps) * (2 * d + 4 + 1.0 / (1.0 - float(r.max())))
+    return a, e0, eta
+
+
+def _row_norms(x) -> np.ndarray:
+    """l2 norms of the rows of a complex long-double matrix, as floats."""
+    v = x.view(np.longdouble)
+    return np.sqrt(np.einsum("ij,ij->i", v, v), dtype=float)
+
+
+def _power_error(fros, eta: float, gamma: float) -> float:
+    """delta_N for N = 2^(len(fros) - 1), from the Frobenius norms of
+    the squares M^(2^j) (see _takenaka_windows)."""
+    err = eta * fros[0]
+    for f in fros[:-1]:
+        err = (min(f, 1.0 + err) + min(1.0, f + err)) * err + gamma * f * f
+    return err
+
+
 @functools.lru_cache(maxsize=2)
 def _takenaka_windows(zeros: tuple, tol: float):
     """Takenaka-Malmquist elements (e_1, ..., e_d) of the zeros and their
-    Blaschke product window p_{d+1}, from one recurrence at the per-factor
-    l2 budget tol/(2(d+1)).  With p_1 = 1, s_k = sqrt(1 - |lam_k|^2) and
-    g_k the geometric window of lam_k up to index n_k,
+    Blaschke product window p, each cut where its own certified tail
+    first meets the budget tol/(2(d+1)).
 
-        e_k = s_k g_k p_k,    p_{k+1} = -lam_k p_k + s_k z e_k
+    p is the last element of the zeros followed by a zero at 0, so one
+    realization of that tuple (:func:`takenaka_realization`) gives all
+    d + 1 windows: with M = conj(A_z), the coefficients at index n are
+    M^n e(0), and orthonormality makes the mass of element k past index
+    N - 1 exactly ||row_k(M^N)||.  Squaring M finds the first power of
+    two N at which every such tail meets the budget, about
+    log(budget)/log(max |lam|) whatever the degree; N past
+    _MAX_WINDOW_WIDTH is refused before anything of width N is
+    allocated.  The (d+1) x N stack is filled by doubling,
+    stack[:, k:2k] = M^k stack[:, :k], each square carried in long
+    double.  Element k is cut at the first index where its tail, the row
+    norm plus the stored coefficients past the cut, meets the budget; the
+    coefficients that vanish because zeros at 0 precede it go into the
+    offset, so every window holds its own support.
 
-    (the shift z e_k when lam_k = 0): one Cauchy product per zero.
-    p_{k+1} is p_k times the factor of lam_k cut after index n_k + 1.  The
-    true p_k is unimodular and the cut factor is at most
-    1 + (1 + r) r^(n_k+1) on the circle, so
-    s_k r^(n_k+1) + (1 + (1 + r) r^(n_k+1)) tail(p_k) bounds its tail.
-    Widths past _MAX_WINDOW_WIDTH are refused before anything is
-    allocated.  The last two (zeros, tol) requests stay cached, so one job
-    builds the basis and product window of each inner function once.
+    Margin: each reported tail is that mass times
+    1 + (_MAX_WINDOW_WIDTH + 2d + 2) eps, for the rounding of the sums,
+    plus delta_N >= ||fl(M^N) - M^N||_2.  delta_1 = eta ||M||_F covers the
+    realization's rounding; squaring X_k = fl(M^k), f = ||X_k||_F, sets
+
+        delta_2k = (min(f, 1 + delta_k) + min(1, f + delta_k)) delta_k
+                   + gamma f^2,
+
+    since ||M^k|| <= 1, with gamma = 2 (d + 3) eps_ld for a complex
+    long-double dot product of length d + 1.  Without decay this stays
+    below 2 N (d + 1) (eta + (d + 1) gamma); once ||X_k||_F falls under
+    1/2 it stops growing.  Roundoff in the stored coefficients is not in
+    the tail, as for every window.  The budget tol/(2(d+1)) lets the
+    tails of all d + 1 windows add up to at most tol/2.  The last two
+    (zeros, tol) requests stay cached, so one job builds the windows of
+    each inner function once.
     """
-    budget = tol / (2.0 * (len(zeros) + 1))
-    widths = [_factor_width(abs(lam), budget) for lam in zeros]
-    reach = sum(widths) + len(widths)  # last index of p_{d+1}, the widest window
-    if reach > _MAX_WINDOW_WIDTH:
-        raise SymbolClassError(
-            f"predicted window width {reach} exceeds {_MAX_WINDOW_WIDTH}; "
-            "zeros too close to the unit circle for this tolerance"
-        )
-    elements = []
-    p = delta_window(0)
-    for lam, n in zip(zeros, widths):
-        r = abs(lam)
-        s = math.sqrt(1.0 - r * r)
-        e = window_scale(window_multiply(geometric_window(lam, n), p), s)
-        elements.append(e)
-        if lam == 0:
-            p = window_shift(e, 1)
-            continue
-        c = np.zeros(len(e.coeffs) + 1, dtype=np.complex128)
-        c[: len(p.coeffs)] = -lam * p.coeffs
-        c[1:] += s * e.coeffs
-        cut = r ** (n + 1)
-        p = FourierWindow(p.offset, c, s * cut + (1.0 + (1.0 + r) * cut) * p.tail_bound)
-    return tuple(elements), p
+    a, e0, eta = takenaka_realization(zeros + (0j,))
+    d1 = len(e0)
+    budget = tol / (2.0 * d1)
+    gamma = 2.0 * (d1 + 2) * float(np.finfo(np.longdouble).eps)
+    slack = 1.0 + (_MAX_WINDOW_WIDTH + 2 * d1) * np.finfo(float).eps
+    # the diagonal of M^k is conj(lam)^k, so no k below
+    # log(budget)/log(max |lam|) fits: square that far first and read the
+    # norms of those squares at once
+    r_max = max(map(abs, zeros))
+    reach = min(math.log(budget) / math.log(r_max) if r_max > 0 else 0.0, _MAX_WINDOW_WIDTH)
+    squares = [np.conj(a)]
+    while 1 << (len(squares) - 1) < reach:
+        squares.append(squares[-1] @ squares[-1])
+    v = np.array(squares).view(np.longdouble)
+    fros = np.sqrt(np.einsum("kij,kij->k", v, v), dtype=float).tolist()
+    rows = _row_norms(squares[-1])
+    while rows.max() * slack + _power_error(fros, eta, gamma) > budget:
+        if 1 << (len(squares) - 1) >= _MAX_WINDOW_WIDTH:
+            raise SymbolClassError(
+                f"predicted window width exceeds {_MAX_WINDOW_WIDTH}; "
+                "zeros too close to the unit circle for this tolerance"
+            )
+        squares.append(squares[-1] @ squares[-1])
+        rows = _row_norms(squares[-1])
+        fros.append(math.sqrt(rows @ rows))
+    err = _power_error(fros, eta, gamma)
+
+    n = 1 << (len(squares) - 1)
+    stack = np.empty((d1, n), dtype=np.complex128)
+    stack[:, 0] = e0
+    for j, sq in enumerate(np.array(squares[:-1], dtype=np.complex128)):
+        k = 1 << j
+        np.matmul(sq, stack[:, :k], out=stack[:, k : 2 * k])
+
+    # dropped[k, L - 1]: the mass of the last L stored coefficients of row k
+    squared = stack.real**2
+    squared += stack.imag**2
+    dropped = np.cumsum(squared[:, ::-1], axis=1)
+    rooms = ((budget - err) / slack) ** 2 - rows**2
+    offsets = itertools.accumulate((z == 0 for z in zeros), initial=0)
+    windows = []
+    for row, drop, room, tail_n, off in zip(stack, dropped, rooms, rows, offsets):
+        cut = max(n - int(np.searchsorted(drop, room, side="right")), off + 1)
+        omitted = tail_n**2 + (drop[n - cut - 1] if cut < n else 0.0)
+        windows.append(FourierWindow(off, row[off:cut], math.sqrt(omitted) * slack + err))
+    return tuple(windows[:-1]), windows[-1]
 
 
 def _blaschke_product_window(zeros, tol: float) -> FourierWindow:
-    if not zeros:
-        return delta_window(0)
-    build_tol = tol
-    for _ in range(8):
-        w = _takenaka_windows(zeros, build_tol)[1]
-        if w.tail_bound <= tol:
-            return w
-        build_tol /= 8.0
-    raise RuntimeError("could not certify Blaschke product tail; zeros too close to the circle")
+    return _takenaka_windows(zeros, tol)[1] if zeros else delta_window(0)
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +763,8 @@ def symbol_to_window(phi: SymbolExpr, lo: int, hi: int, tol: float) -> FourierWi
     """Coefficient window of phi.
 
     A rational symbol's window is its certified block at its own support,
-    whatever [lo, hi], widened for a quotient until the geometric tail is
-    <= tol; both edge coefficients are nonzero unless a product of zeros
+    whatever [lo, hi], cut for a quotient where its certified tail meets
+    tol; both edge coefficients are nonzero unless a product of zeros
     below about 1e-154 in modulus underflows.  For PiecewiseArcs the
     window covers exactly [lo, hi] and the O(1/n) tail is reported as-is.
     """

@@ -23,8 +23,8 @@ from .fourier import (
     SymbolExpr,
     project_analytic,
     project_antianalytic,
-    shift_symbol,
     symbol_to_window,
+    takenaka_realization,
     window_conjugate,
     window_inner_product,
     window_multiply,
@@ -125,8 +125,15 @@ def truncated_toeplitz(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -
 
 
 def compressed_shift(basis: ModelBasis) -> OperatorMatrix:
-    """The compressed shift A_z; satisfies I - A* A = (S* u)(S* u)^*."""
-    return truncated_toeplitz(basis, shift_symbol(1))
+    """The compressed shift A_z; satisfies I - A* A = (S* u)(S* u)^*.
+
+    Read off the realization of u's zeros, so no window is built.  Every
+    entry has modulus at most 1, so entry_error = eps/2 + eta bounds its
+    roundoff: one rounding to double after the realization's own
+    relative error eta.
+    """
+    a, _, eta = takenaka_realization(basis.inner.zeros)
+    return OperatorMatrix(a, np.finfo(float).eps / 2.0 + eta)
 
 
 def corner_images(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12):

@@ -319,4 +319,5 @@ def test_piecewise_plus_constant_on_the_circle_is_unimodular(capsys):
     plain = _minmod_json(capsys, _arcs("[0, -1]", "[-1, 0]"), U_HALF)
     nested = _minmod_json(capsys, _sum(_arcs("[1, 0]", "[0, 1]"), "[-1, -1]"), U_HALF)
     assert nested == plain
-    assert plain["value"] == 0.7071067811865476
+    # 2^(-1/2) up to roundoff: the last bits move with the basis width
+    assert abs(plain["value"] - 0.5**0.5) <= 4 * np.finfo(float).eps

@@ -25,7 +25,6 @@ from dttokit.fourier import (
     _FFT_TABLE_MAX,
     _MAX_WINDOW_WIDTH,
     _coeffs_over,
-    _factor_width,
     _fft_length,
     _geometric_powers,
     _takenaka_windows,
@@ -78,31 +77,37 @@ def test_blaschke_factor_tail_certifies_next_block():
         assert mass <= short.tail_bound
 
 
+_RING_0985 = tuple(0.985 * np.exp(2j * np.pi * k / 8) for k in range(8))
+
+
 @pytest.mark.parametrize(
     "zeros",
-    [(0j,), (0j, 0.5, 0j), (0.6, 0.6, 0.6j), (0.99, -0.4 + 0.3j), (0.99j, 0.99j, 0.3)],
+    [(0j,), (0j, 0.5, 0j), (0.6, 0.6, 0.6j), (0.99, -0.4 + 0.3j), (0.99j, 0.99j, 0.3), _RING_0985],
 )
 def test_takenaka_recurrence_matches_the_factor_chain(zeros):
-    # reference: e_k = s_k g_k p_k with p_{k+1} = p_k * (factor cut after n_k + 1),
-    # each step a full Cauchy product; and a chain cut four times further out
+    # reference: e_k = s_k g_k p_k and p_{k+1} = p_k b_k, every factor cut
+    # four times further out than the widest window, so the chain omits
+    # far less than tol; every window must lie within its own tail of it
     tol = 1e-9
     elements, p = _takenaka_windows(zeros, tol)
-    budget = tol / (2.0 * (len(zeros) + 1))
-    ref, long_ref = delta_window(0), delta_window(0)
+    n = 4 * max(w.hi for w in elements + (p,)) + 8
+
+    def within_tail(w, ref):
+        assert 0 <= w.lo and w.coeffs[0] != 0 and w.coeffs[-1] != 0
+        assert w.tail_bound <= tol
+        gap = np.linalg.norm(_coeffs_over(ref, 0, ref.hi) - _coeffs_over(w, 0, ref.hi))
+        # the in-window coefficients carry roundoff the tails do not count
+        assert gap <= w.tail_bound + ref.tail_bound + 1e-15
+
+    ref = delta_window(0)
     for lam, e in zip(zeros, elements):
-        n = _factor_width(abs(lam), budget)
-        ref_e = window_scale(window_multiply(geometric_window(lam, n), ref), np.sqrt(1 - abs(lam) ** 2))
-        assert (e.lo, e.hi) == (ref_e.lo, ref_e.hi)
-        assert np.abs(e.coeffs - ref_e.coeffs).max() <= 4e-16
-        ref = window_multiply(ref, blaschke_factor_coeffs(lam, n + 1))
-        long_ref = window_multiply(long_ref, blaschke_factor_coeffs(lam, 4 * n + 8))
-    assert (p.lo, p.hi) == (ref.lo, ref.hi)
-    assert p.coeffs[0] != 0 and p.coeffs[-1] != 0
-    assert np.abs(p.coeffs - ref.coeffs).max() <= 4e-16
-    gap = np.linalg.norm(_coeffs_over(long_ref, 0, long_ref.hi) - _coeffs_over(p, 0, long_ref.hi))
-    # one nonzero zero makes the bound an equality, up to roundoff in the gap
-    assert gap <= p.tail_bound + long_ref.tail_bound + 1e-15
-    assert p.tail_bound <= tol
+        s = np.sqrt(1 - abs(lam) ** 2)
+        within_tail(e, window_scale(window_multiply(geometric_window(lam, n), ref), s))
+        ref = window_multiply(ref, blaschke_factor_coeffs(lam, n))
+    within_tail(p, ref)
+    # zeros at 0 ahead of an element shift its support, not its values
+    assert [e.lo for e in elements] == [sum(z == 0 for z in zeros[:k]) for k in range(len(zeros))]
+    assert p.lo == sum(z == 0 for z in zeros)
 
 
 _EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -331,7 +333,7 @@ def test_report_serialization_keys():
 
 
 # ---------------------------------------------------------------------------
-# long windows: d = 8 zeros at modulus 0.99, W near 12.8k at the CLI tolerance
+# long windows and high degree: rings of zeros near the circle
 
 
 def _ring(d, r, turn=0.37):
@@ -351,11 +353,26 @@ def test_long_window_dispatch_matches_closed_forms():
 
 
 def test_long_window_basis_still_certifies():
-    u = _ring(8, 0.99)
+    # widths follow the slowest pole: log(tol/18)/log(0.998), about 15.2k, here
+    u = _ring(8, 0.998)
     assert u.window(1e-12).tail_bound <= 1e-12
     basis = tm_basis(u, 1e-12)
     assert basis.window_width() > 12_000
     assert np.abs(gram_matrix(basis.basis) - np.eye(u.degree)).max() <= 1e-10
+
+
+def test_window_width_follows_the_slowest_pole_not_the_degree():
+    # each window is cut at tol/(2(d+1)): log(1e-9/18)/log(0.985) is about
+    # 1560; summing the eight zeros' widths would give about 11.6k
+    assert tm_basis(_ring(8, 0.985, turn=0.0), 1e-9).window_width() <= 2000
+
+
+def test_high_degree_dispatch_matches_the_shift_dichotomy():
+    u = _ring(64, 0.99)
+    start = time.perf_counter()
+    shift = dispatch_minmod(u, Z, 1e-9)
+    assert time.perf_counter() - start < 2.0
+    assert abs(shift["value"] - 0.99**64) <= 1e-8 + shift["entry_error"]
 
 
 def test_one_dispatch_builds_the_windows_of_each_zero_set_once():

@@ -20,7 +20,9 @@ def test_monomial_inner_function_gives_monomial_basis():
     basis = tm_basis(BlaschkeProduct(1.0, (0.0, 0.0)))
     assert basis.dim == 2
     for k, e in enumerate(basis.basis):
-        assert e.tail_bound == 0.0
+        # one coefficient, exact; the tail is only the stated roundoff margin
+        assert (e.lo, e.hi) == (k, k)
+        assert e.tail_bound <= 1e-16
         assert e.coeff_at(k) == 1.0
         assert e.norm() == 1.0
 

@@ -30,6 +30,7 @@ from dttokit.fourier import (
     delta_window,
     is_analytic,
     symbol_to_window,
+    takenaka_realization,
     window_shift,
     window_sub,
 )
@@ -459,3 +460,61 @@ def test_galerkin_block_rows_reach_the_laurent_support(u, phi, n):
     width = max(abs(lo), abs(hi), w_u + hi, w_u - lo)
     block = _dtto_rectangular(u, phi, n, tol)
     assert block.shape == (2 * (n + width + 1), 2 * n)
+
+
+# ---------------------------------------------------------------------------
+# the realization (A_z, e(0)) of the Takenaka-Malmquist basis
+
+
+@st.composite
+def _zero_tuples(draw):
+    """Zeros of modulus up to 0.99, zeros at 0 among them, some repeated."""
+    distinct = draw(
+        st.lists(
+            st.one_of(st.just(0j), st.builds(_polar, st.floats(0.0, 0.99), _ANGLE)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=6))
+    return tuple(distinct[i] for i in picks)
+
+
+def _product_formula(zeros, z):
+    """e_k(z) = s_k / (1 - conj(lam_k) z) * prod_{i<k} b_{lam_i}(z)."""
+    values, prod = [], 1.0
+    for lam in zeros:
+        pole = 1.0 - np.conj(lam) * z
+        values.append(np.sqrt(1.0 - abs(lam) ** 2) / pole * prod)
+        prod *= (z - lam) / pole
+    return np.array(values)
+
+
+@settings(max_examples=40)
+@given(zeros=_zero_tuples())
+@example(zeros=(0j, 0j, 0j))
+@example(zeros=(0.99, 0.99, 0j, -0.99j, 0.99))
+def test_realization_matches_the_window_route_and_the_product_formula(zeros):
+    a, e0, _ = takenaka_realization(zeros)
+    basis = tm_basis(BlaschkeProduct(1.0, zeros))
+    shift = compressed_shift(basis)
+    assert np.array_equal(shift.entries, a.astype(complex))
+    windowed = truncated_toeplitz(basis, Z)
+    assert np.abs(shift.entries - windowed.entries).max() <= shift.entry_error + windowed.entry_error
+    # e(z) = (I - z conj(A_z))^{-1} e(0), inside the disc and on the circle
+    m = np.conj(a.astype(complex))
+    for z in (0.0, 0.5, -0.3 + 0.6j, 0.9j, np.exp(0.7j)):
+        e = np.linalg.solve(np.eye(len(zeros)) - z * m, e0.astype(complex))
+        ref = _product_formula(zeros, z)
+        assert np.abs(e - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+def test_compressed_shift_reads_the_realization_and_builds_no_window(monkeypatch):
+    basis = tm_basis(BlaschkeProduct(1.0, (0.5, 0.0, -0.3j, 0.5)))
+
+    def no_window(self):
+        raise AssertionError("compressed_shift built a window")
+
+    monkeypatch.setattr(FourierWindow, "__post_init__", no_window)
+    # a stated roundoff bound, not 0
+    assert 0.0 < compressed_shift(basis).entry_error <= 1e-15
