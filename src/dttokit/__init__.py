@@ -38,9 +38,7 @@ from .fourier import (
 from .modelspace import (
     ModelBasis,
     gram_matrix,
-    project_onto_model_space,
     reproducing_kernel,
-    synthesize,
     tm_basis,
 )
 from .operators import (

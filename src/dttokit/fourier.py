@@ -17,7 +17,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -117,8 +117,79 @@ def _coeffs_over(w: FourierWindow, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class WindowStack:
+    """Windows over one shared index block, one row each.
+
+    ``coeffs[k, j]`` is the coefficient of index ``offset + j`` of window
+    k, zero outside that window's own support, and ``tail_bound[k]``
+    bounds the l2 mass window k omits.  Products and pairings take a
+    stack whole, so a basis is multiplied and paired in one call rather
+    than element by element.  The coefficients are taken without a copy
+    and held as a read-only view.
+    """
+
+    offset: int
+    coeffs: np.ndarray
+    tail_bound: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.coeffs, dtype=np.complex128).view()
+        tails = np.array(self.tail_bound, dtype=float)
+        if arr.ndim != 2 or arr.size == 0 or tails.shape != arr.shape[:1]:
+            raise ValueError("a window stack needs nonempty 2-D coefficients and one tail per row")
+        # a NaN fails the first comparison
+        if not 0.0 <= tails.min() <= tails.max() < math.inf:
+            raise ValueError("tail bounds must be finite and nonnegative")
+        arr.flags.writeable = False
+        tails.flags.writeable = False
+        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "tail_bound", tails)
+
+    @property
+    def lo(self) -> int:
+        return self.offset
+
+    @property
+    def hi(self) -> int:
+        return self.offset + self.coeffs.shape[1] - 1
+
+    def norm(self) -> np.ndarray:
+        """l2 norms of the stored rows."""
+        return self._norm
+
+    @functools.cached_property
+    def _norm(self) -> np.ndarray:
+        norms = _row_norms(self.coeffs)
+        norms.flags.writeable = False
+        return norms
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """G[j, k] = <row_k, row_j>, formed on first use and kept: the rows
+        are read-only, so the Gram of a cached basis build is formed once."""
+        g = _pairing(self, self)
+        g.flags.writeable = False
+        return g
+
+    def rows(self) -> tuple:
+        """The rows as windows, each from its first nonzero coefficient to
+        its last (one zero coefficient for a zero row)."""
+        out = []
+        for row, tail in zip(self.coeffs, self.tail_bound):
+            nz = np.flatnonzero(row)
+            a, b = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 1)
+            out.append(FourierWindow(self.offset + a, row[a:b], tail))
+        return tuple(out)
+
+
 def _stack_windows(windows, lo: int, hi: int) -> np.ndarray:
-    """One row per window: its coefficients at the indices lo..hi."""
+    """One row per window of a sequence or of a stack: its coefficients at
+    the indices lo..hi.  A stack's rows are read as a view, so lo..hi
+    must lie inside its block."""
+    if isinstance(windows, WindowStack):
+        return windows.coeffs[:, lo - windows.lo : hi - windows.lo + 1]
     rows = np.empty((len(windows), hi - lo + 1), dtype=np.complex128)
     for row, w in zip(rows, windows):
         row[:] = _coeffs_over(w, lo, hi)
@@ -154,30 +225,42 @@ def _fft_length(n: int) -> int:
 
 
 def _cauchy_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of a and b: direct when the shorter factor
-    has at most _DIRECT_PRODUCT_MAX coefficients, otherwise by FFT at a
-    zero-padded 5-smooth length.  The transform of a is released on
-    return, before the caller copies the result into a window."""
-    if min(len(a), len(b)) <= _DIRECT_PRODUCT_MAX:
-        return np.convolve(a, b)
-    n = len(a) + len(b) - 1
+    """Full linear convolution of a and b along their last axis, a 1-D
+    factor against every row of a 2-D one: direct, row by row, when the
+    shorter factor has at most _DIRECT_PRODUCT_MAX coefficients,
+    otherwise by one batched FFT at a zero-padded 5-smooth length.  The
+    transform of a (of the 2-D factor, if there is one) is multiplied and
+    inverted in place and becomes the result, so no second array of that
+    size is made."""
+    if b.ndim > a.ndim:
+        a, b = b, a
+    n = a.shape[-1] + b.shape[-1] - 1
+    if min(a.shape[-1], b.shape[-1]) <= _DIRECT_PRODUCT_MAX:
+        if a.ndim == 1:
+            return np.convolve(a, b)
+        out = np.empty((len(a), n), dtype=np.complex128)
+        for row, src in zip(out, a):
+            row[:] = np.convolve(src, b)
+        return out
     fa = np.fft.fft(a, _fft_length(n))
-    fa *= np.fft.fft(b, len(fa))
-    return np.fft.ifft(fa)[:n]
+    fa *= np.fft.fft(b, fa.shape[-1])
+    return np.fft.ifft(fa, out=fa)[..., :n]
 
 
-def window_multiply(f: FourierWindow, g: FourierWindow) -> FourierWindow:
-    """Cauchy product of two windows.
+def window_multiply(f, g):
+    """Cauchy product of two windows, or of a window with every row of a
+    :class:`WindowStack` (the result is then a stack).
 
     The output tail is propagated as ||f|| tail(g) + ||g|| tail(f)
-    + tail(f) tail(g), which also bounds the pointwise error of the
-    block coefficients caused by the omitted factor tails.  It counts
-    truncation only: floating-point roundoff, of either the direct or
-    the FFT product, is not in the tail.
+    + tail(f) tail(g), row by row for a stack, which also bounds the
+    pointwise error of the block coefficients caused by the omitted
+    factor tails.  It counts truncation only: floating-point roundoff, of
+    either the direct or the FFT product, is not in the tail.
     """
     coeffs = _cauchy_product(f.coeffs, g.coeffs)
     tail = f.norm() * g.tail_bound + g.norm() * f.tail_bound + f.tail_bound * g.tail_bound
-    return FourierWindow(f.offset + g.offset, coeffs, tail)
+    kind = FourierWindow if coeffs.ndim == 1 else WindowStack
+    return kind(f.offset + g.offset, coeffs, tail)
 
 
 def window_conjugate(f: FourierWindow) -> FourierWindow:
@@ -209,20 +292,14 @@ def window_inner_product(f, g):
 
     Realizes the L2(T) inner product; the absolute error is at most
     ||f|| tail(g) + ||g|| tail(f) + tail(f) tail(g).  Either argument may
-    be a sequence of windows; the result is then the array of pairings
-    P[j, k] = <f_k, g_j>, with the axis of a single-window argument
-    dropped.  Both sides are stacked over their common index range, a
-    block of indices at a time, so the stacked copies stay small.
+    be a :class:`WindowStack` or a sequence of windows; the result is then
+    the array of pairings P[j, k] = <f_k, g_j>, with the axis of a
+    single-window argument dropped.
     """
-    fs = [f] if isinstance(f, FourierWindow) else list(f)
-    gs = [g] if isinstance(g, FourierWindow) else list(g)
-    lo = max(min(w.lo for w in fs), min(w.lo for w in gs))
-    hi = min(max(w.hi for w in fs), max(w.hi for w in gs))
-    p = np.zeros((len(gs), len(fs)), dtype=np.complex128)
-    for a in range(lo, hi + 1, _PAIRING_BLOCK):
-        b = min(a + _PAIRING_BLOCK - 1, hi)
-        gbar = _stack_windows(gs, a, b)
-        p += np.conj(gbar, out=gbar) @ _stack_windows(fs, a, b).T
+    p = _pairing(
+        [f] if isinstance(f, FourierWindow) else f,
+        [g] if isinstance(g, FourierWindow) else g,
+    )
     if isinstance(f, FourierWindow):
         p = p[:, 0]
     if isinstance(g, FourierWindow):
@@ -230,20 +307,49 @@ def window_inner_product(f, g):
     return complex(p) if p.ndim == 0 else p
 
 
-def project_analytic(f: FourierWindow) -> FourierWindow:
-    """Keep indices n >= 0 (the H^2 part).  Tail bound is preserved."""
-    if f.hi < 0:
-        return FourierWindow(0, np.zeros(1, dtype=np.complex128), f.tail_bound)
-    lo = max(f.lo, 0)
-    return FourierWindow(lo, f.coeffs[lo - f.lo :], f.tail_bound)
+def _pairing(fs, gs) -> np.ndarray:
+    """P[j, k] = <f_k, g_j> for two stacks or sequences of windows.  Both
+    sides are read over their common index range a block of indices at a
+    time, a stack as views of its rows, so the copies stay small."""
+    spans = []
+    for ws in (fs, gs):
+        if isinstance(ws, WindowStack):
+            spans.append((ws.lo, ws.hi, len(ws.coeffs)))
+        else:
+            spans.append((min(w.lo for w in ws), max(w.hi for w in ws), len(ws)))
+    (flo, fhi, nf), (glo, ghi, ng) = spans
+    lo, hi = max(flo, glo), min(fhi, ghi)
+    p = np.zeros((ng, nf), dtype=np.complex128)
+    for a in range(lo, hi + 1, _PAIRING_BLOCK):
+        b = min(a + _PAIRING_BLOCK - 1, hi)
+        gbar = np.conj(_stack_windows(gs, a, b))
+        p += gbar @ _stack_windows(fs, a, b).T
+    return p
 
 
-def project_antianalytic(f: FourierWindow) -> FourierWindow:
-    """Keep indices n <= -1 (the H^2_- part)."""
-    if f.lo > -1:
-        return FourierWindow(-1, np.zeros(1, dtype=np.complex128), f.tail_bound)
-    hi = min(f.hi, -1)
-    return FourierWindow(f.lo, f.coeffs[: hi - f.lo + 1], f.tail_bound)
+def _keep(f, lo: int, hi: int, empty_at: int):
+    """The indices lo..hi of a window or of every row of a stack, tails
+    kept; one zero coefficient at index empty_at if f stores none of them.
+    A stack takes its rows without a copy, so the kept block is copied
+    out here and the product it was cut from can be freed."""
+    a, b = max(f.lo, lo), min(f.hi, hi)
+    if a > b:
+        zero = np.zeros(f.coeffs.shape[:-1] + (1,), dtype=np.complex128)
+        return replace(f, offset=empty_at, coeffs=zero)
+    coeffs = f.coeffs[..., a - f.lo : b - f.lo + 1]
+    return replace(f, offset=a, coeffs=coeffs.copy() if coeffs.ndim == 2 else coeffs)
+
+
+def project_analytic(f):
+    """Keep indices n >= 0 (the H^2 part) of a window or of every row of a
+    stack.  Tail bounds are preserved."""
+    return _keep(f, 0, f.hi, 0)
+
+
+def project_antianalytic(f):
+    """Keep indices n <= -1 (the H^2_- part) of a window or of every row of
+    a stack.  Tail bounds are preserved."""
+    return _keep(f, f.lo, -1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +511,8 @@ def takenaka_realization(zeros: tuple):
 
 
 def _row_norms(x) -> np.ndarray:
-    """l2 norms of the rows of a complex long-double matrix, as floats."""
-    v = x.view(np.longdouble)
+    """l2 norms of the rows of a complex matrix, as floats."""
+    v = x.view(x.real.dtype)
     return np.sqrt(np.einsum("ij,ij->i", v, v), dtype=float)
 
 
@@ -421,9 +527,10 @@ def _power_error(fros, eta: float, gamma: float) -> float:
 
 @functools.lru_cache(maxsize=2)
 def _takenaka_windows(zeros: tuple, tol: float):
-    """Takenaka-Malmquist elements (e_1, ..., e_d) of the zeros and their
-    Blaschke product window p, each cut where its own certified tail
-    first meets the budget tol/(2(d+1)).
+    """Takenaka-Malmquist elements (e_1, ..., e_d) of the zeros, as the
+    rows of one :class:`WindowStack`, and their Blaschke product window
+    p, each cut where its own certified tail first meets the budget
+    tol/(2(d+1)).
 
     p is the last element of the zeros followed by a zero at 0, so one
     realization of that tuple (:func:`takenaka_realization`) gives all
@@ -436,9 +543,11 @@ def _takenaka_windows(zeros: tuple, tol: float):
     allocated.  The (d+1) x N stack is filled by doubling,
     stack[:, k:2k] = M^k stack[:, :k], each square carried in long
     double.  Element k is cut at the first index where its tail, the row
-    norm plus the stored coefficients past the cut, meets the budget; the
-    coefficients that vanish because zeros at 0 precede it go into the
-    offset, so every window holds its own support.
+    norm plus the stored coefficients past the cut, meets the budget, and
+    the stack rows are zeroed past their cuts; the coefficients that
+    vanish because zeros at 0 precede an element are exact zeros, which p
+    and the element's window (:meth:`WindowStack.rows`) leave out of
+    their block, so every window holds its own support.
 
     Margin: each reported tail is that mass times
     1 + (_MAX_WINDOW_WIDTH + 2d + 2) eps, for the rounding of the sums,
@@ -496,13 +605,18 @@ def _takenaka_windows(zeros: tuple, tol: float):
     squared += stack.imag**2
     dropped = np.cumsum(squared[:, ::-1], axis=1)
     rooms = ((budget - err) / slack) ** 2 - rows**2
-    offsets = itertools.accumulate((z == 0 for z in zeros), initial=0)
-    windows = []
-    for row, drop, room, tail_n, off in zip(stack, dropped, rooms, rows, offsets):
+    offsets = list(itertools.accumulate((z == 0 for z in zeros), initial=0))
+    cuts, tails = [], []
+    for drop, room, tail_n, off in zip(dropped, rooms, rows, offsets):
         cut = max(n - int(np.searchsorted(drop, room, side="right")), off + 1)
         omitted = tail_n**2 + (drop[n - cut - 1] if cut < n else 0.0)
-        windows.append(FourierWindow(off, row[off:cut], math.sqrt(omitted) * slack + err))
-    return tuple(windows[:-1]), windows[-1]
+        cuts.append(cut)
+        tails.append(math.sqrt(omitted) * slack + err)
+    p = FourierWindow(offsets[-1], stack[-1, offsets[-1] : cuts[-1]], tails[-1])
+    elements = stack[:-1, : max(cuts[:-1])].copy()
+    for row, cut in zip(elements, cuts):
+        row[cut:] = 0.0
+    return WindowStack(0, elements, tails[:-1]), p
 
 
 def _blaschke_product_window(zeros, tol: float) -> FourierWindow:

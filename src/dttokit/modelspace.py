@@ -1,4 +1,4 @@
-"""Orthonormal bases, reproducing kernels and projections for model spaces.
+"""Orthonormal bases and reproducing kernels for model spaces.
 
 The model space of a finite Blaschke product u of degree d is the
 d-dimensional space H^2 (-) u H^2.  It is realized here through the
@@ -18,9 +18,9 @@ from .fourier import (
     BlaschkeProduct,
     FourierWindow,
     SymbolClassError,
+    WindowStack,
     geometric_window,
     window_add,
-    window_inner_product,
     window_multiply,
     window_scale,
     _check_tol,
@@ -34,33 +34,49 @@ GRAM_DEFECT_LIMIT = 1e-10
 
 @dataclass(frozen=True)
 class ModelBasis:
-    """Takenaka-Malmquist basis of a finite-dimensional model space."""
+    """Takenaka-Malmquist basis of a finite-dimensional model space: the
+    elements are the rows of one window stack."""
 
     inner: BlaschkeProduct
-    basis: tuple
+    elements: WindowStack
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.elements.coeffs)
+
+    @property
+    def basis(self) -> tuple:
+        """The elements as windows, each over its own support; derived from
+        the stack on every read."""
+        return self.elements.rows()
 
     def window_width(self) -> int:
-        return max(e.hi for e in self.basis)
+        return self.elements.hi
 
     def max_tail(self) -> float:
-        return max(e.tail_bound for e in self.basis)
+        return float(self.elements.tail_bound.max())
 
 
 def gram_matrix(windows) -> np.ndarray:
-    """Gram matrix G[j, k] = <w_k, w_j> of a sequence of windows."""
-    return window_inner_product(windows, windows)
+    """Gram matrix G[j, k] = <w_k, w_j> of a window stack, or of a sequence
+    of windows stacked over their hull; read-only.  A stack keeps its
+    Gram, so the Gram of a cached basis build is formed once."""
+    if not isinstance(windows, WindowStack):
+        lo = min(w.lo for w in windows)
+        hi = max(w.hi for w in windows)
+        tails = [w.tail_bound for w in windows]
+        windows = WindowStack(lo, _stack_windows(windows, lo, hi), tails)
+    return windows.gram
 
 
 def tm_basis(u: BlaschkeProduct, tol: float = 1e-12) -> ModelBasis:
-    """Orthonormal Takenaka-Malmquist basis, expanded as certified windows.
+    """Orthonormal Takenaka-Malmquist basis, one stack of certified windows.
 
     Widens the windows automatically if the numerical Gram defect exceeds
-    the 1e-10 target.  Rejects constant inner functions (degree 0), whose
-    model space is trivial, with SymbolClassError.
+    the 1e-10 target.  The Gram is kept with the cached build, so a second
+    call for the same zeros pairs nothing.  Rejects constant inner
+    functions (degree 0), whose model space is trivial, with
+    SymbolClassError.
     """
     if u.degree < 1:
         raise SymbolClassError("inner function must be nonconstant")
@@ -88,19 +104,3 @@ def reproducing_kernel(u: BlaschkeProduct, lam: complex, tol: float = 1e-12) -> 
     uw = u.window(tol / 4.0)
     prod = window_multiply(uw, geom)
     return window_add(geom, window_scale(prod, -np.conj(u(lam))))
-
-
-def project_onto_model_space(basis: ModelBasis, f: FourierWindow) -> np.ndarray:
-    """Coordinates <f, e_k> of the orthogonal projection onto the model space."""
-    return window_inner_product(f, basis.basis)
-
-
-def synthesize(basis: ModelBasis, coords) -> FourierWindow:
-    """Window of sum coords[k] e_k."""
-    coords = np.asarray(coords, dtype=np.complex128)
-    if coords.shape != (basis.dim,):
-        raise ValueError("coordinate vector length must equal the basis dimension")
-    lo = min(e.lo for e in basis.basis)
-    hi = max(e.hi for e in basis.basis)
-    tail = sum(abs(c) * e.tail_bound for c, e in zip(coords, basis.basis))
-    return FourierWindow(lo, coords @ _stack_windows(basis.basis, lo, hi), tail)

@@ -114,13 +114,12 @@ def _symbol_window_for_basis(phi: SymbolExpr, basis: ModelBasis, tol: float) -> 
 
 
 def truncated_toeplitz(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -> OperatorMatrix:
-    """A_phi on the model space: entry (j, k) = <phi e_k, e_j>."""
+    """A_phi on the model space: entry (j, k) = <phi e_k, e_j>, from one
+    product of phi with the basis stack and one pairing."""
     w = _symbol_window_for_basis(phi, basis, tol)
-    images = [window_multiply(w, e) for e in basis.basis]
-    a = window_inner_product(images, basis.basis)
-    err = max(
-        img.tail_bound * 1.0 + img.norm() * basis.max_tail() for img in images
-    )
+    images = window_multiply(w, basis.elements)
+    a = window_inner_product(images, basis.elements)
+    err = np.max(images.tail_bound + images.norm() * basis.max_tail())
     return OperatorMatrix(a, err)
 
 
@@ -137,16 +136,16 @@ def compressed_shift(basis: ModelBasis) -> OperatorMatrix:
 
 
 def corner_images(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12):
-    """Images (T_{conj(u) phi} e_k, H_phi e_k) of the corner decomposition.
+    """Image stacks (T_{conj(u) phi} e_k, H_phi e_k) of the corner decomposition.
 
     The corner operator P_{K_u^perp} M_phi |_{K_u} splits orthogonally into
     a part landing in u H^2 (carried by T_{conj(u) phi}) and a part landing
-    in H^2_- (carried by H_phi).
+    in H^2_- (carried by H_phi).  Row k of each stack is the image of e_k.
     """
     phi_w = _symbol_window_for_basis(phi, basis, tol)
     ubar_phi = window_multiply(window_conjugate(basis.inner.window(tol)), phi_w)
-    t_imgs = [project_analytic(window_multiply(ubar_phi, e)) for e in basis.basis]
-    h_imgs = [project_antianalytic(window_multiply(phi_w, e)) for e in basis.basis]
+    t_imgs = project_analytic(window_multiply(ubar_phi, basis.elements))
+    h_imgs = project_antianalytic(window_multiply(phi_w, basis.elements))
     return t_imgs, h_imgs
 
 
@@ -156,11 +155,10 @@ def corner_gram(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -> Opera
     For unimodular phi this equals I - A_phi* A_phi, since multiplication
     by phi is an isometry of L^2.
     """
-    t_imgs, h_imgs = corner_images(basis, phi, tol)
-    g = gram_matrix(t_imgs) + gram_matrix(h_imgs)
-    err = max(
-        2.0 * (t.tail_bound * max(t.norm(), 1.0) + h.tail_bound * max(h.norm(), 1.0))
-        for t, h in zip(t_imgs, h_imgs)
+    t, h = corner_images(basis, phi, tol)
+    g = gram_matrix(t) + gram_matrix(h)
+    err = np.max(
+        2.0 * (t.tail_bound * np.maximum(t.norm(), 1.0) + h.tail_bound * np.maximum(h.norm(), 1.0))
     )
     return OperatorMatrix(g, err)
 

@@ -179,7 +179,7 @@ def build_catalog() -> List[CatalogItem]:
     defect = np.eye(2) - s_z2.adjoint().entries @ s_z2.entries
     uw = u_z2.window(1e-13)
     s_star_u = window_shift(window_sub(uw, delta_window(0, u_z2.at_zero())), -1)
-    x = np.array([window_inner_product(s_star_u, e) for e in b_z2.basis])
+    x = window_inner_product(s_star_u, b_z2.elements)
     add(CatalogItem(
         "compressed-shift-defect-rank-one",
         float(np.abs(defect - np.outer(x, np.conj(x))).max()),

@@ -28,8 +28,11 @@ from dttokit.fourier import (
     _fft_length,
     _geometric_powers,
     _takenaka_windows,
+    WindowStack,
     delta_window,
     geometric_window,
+    project_analytic,
+    project_antianalytic,
     window_scale,
     window_shift,
     window_sub,
@@ -89,7 +92,12 @@ def test_takenaka_recurrence_matches_the_factor_chain(zeros):
     # four times further out than the widest window, so the chain omits
     # far less than tol; every window must lie within its own tail of it
     tol = 1e-9
-    elements, p = _takenaka_windows(zeros, tol)
+    stack, p = _takenaka_windows(zeros, tol)
+    elements = stack.rows()
+    # the stack holds each element's window and zeros past it, out to the widest
+    assert stack.lo == 0 and stack.hi == max(e.hi for e in elements)
+    for row, e in zip(stack.coeffs, elements):
+        assert np.array_equal(row, _coeffs_over(e, 0, stack.hi))
     n = 4 * max(w.hi for w in elements + (p,)) + 8
 
     def within_tail(w, ref):
@@ -321,6 +329,77 @@ def test_multiply_exact_windows_stay_exact_beside_long_factors():
             assert prod.tail_bound == 0.0
             shifted = [prod.coeff_at(n + power) for n in range(exact.lo, exact.hi + 1)]
             assert np.array_equal(shifted, c * exact.coeffs)
+
+
+def _random_stack(seed, rows, length, offset):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((rows, length)) + 1j * rng.standard_normal((rows, length))
+    return WindowStack(offset, coeffs, rng.uniform(0.0, 1e-3, rows))
+
+
+@pytest.mark.parametrize("m", [3, _DIRECT_PRODUCT_MAX + 50])
+def test_stack_products_and_pairings_are_those_of_their_rows(m):
+    stack = _random_stack(7, 4, 300, -20)
+    f = _random_window(8, m, 5, 1e-6)
+    rows = stack.rows()
+    assert [(w.lo, w.hi) for w in rows] == [(-20, 279)] * 4
+    for prod in (window_multiply(f, stack), window_multiply(stack, f)):
+        assert isinstance(prod, WindowStack)
+        for row, tail, w in zip(prod.coeffs, prod.tail_bound, rows):
+            ref = window_multiply(f, w)
+            assert prod.lo == ref.lo and prod.hi == ref.hi
+            if m <= _DIRECT_PRODUCT_MAX:  # row by row, the same convolution
+                assert np.array_equal(row, ref.coeffs)
+            else:
+                assert np.abs(row - ref.coeffs).max() <= 1e-12 * np.abs(ref.coeffs).max()
+            # the row norms are summed in another order
+            assert tail == pytest.approx(ref.tail_bound, rel=1e-14)
+    # P[j, k] = <f_k, g_j>, whatever mix of stacks, sequences and windows
+    ref = window_inner_product(rows, rows)
+    assert np.abs(window_inner_product(stack, stack) - ref).max() <= 1e-12
+    assert np.abs(window_inner_product(stack, rows) - ref).max() <= 1e-12
+    assert np.abs(window_inner_product(f, stack) - window_inner_product(f, rows)).max() <= 1e-12
+    assert np.abs(stack.gram - ref).max() <= 1e-12
+    assert not stack.gram.flags.writeable
+
+
+def test_stack_projections_keep_the_tails_and_copy_the_kept_block():
+    stack = _random_stack(9, 3, 50, -20)
+    pos, neg = project_analytic(stack), project_antianalytic(stack)
+    assert (pos.lo, pos.hi, neg.lo, neg.hi) == (0, 29, -20, -1)
+    assert np.array_equal(pos.coeffs, stack.coeffs[:, 20:])
+    assert np.array_equal(neg.coeffs, stack.coeffs[:, :20])
+    for part in (pos, neg):
+        assert np.array_equal(part.tail_bound, stack.tail_bound)
+        assert not np.shares_memory(part.coeffs, stack.coeffs)
+    # nothing on the kept side: one zero coefficient per row, as for a window
+    right = WindowStack(3, stack.coeffs, stack.tail_bound)
+    empty = project_antianalytic(right)
+    assert (empty.lo, empty.coeffs.shape) == (-1, (3, 1)) and not empty.coeffs.any()
+    assert project_analytic(right).coeffs.shape == (3, 50)
+
+
+def test_stack_invariants_and_rows():
+    coeffs = np.zeros((3, 5), dtype=complex)
+    coeffs[0, 1:3] = (1.0, 2.0j)
+    coeffs[1, 4] = -1.0
+    stack = WindowStack(-2, coeffs, [0.0, 1e-3, 0.5])
+    assert (stack.lo, stack.hi) == (-2, 2)
+    assert np.array_equal(stack.norm(), [np.sqrt(5.0), 1.0, 0.0])
+    rows = stack.rows()
+    assert [(w.lo, w.hi, w.tail_bound) for w in rows] == [(-1, 0, 0.0), (2, 2, 1e-3), (-2, -2, 0.5)]
+    assert not rows[2].coeffs.any()
+    assert not stack.coeffs.flags.writeable
+    for bad_coeffs, bad_tails in (
+        (np.ones(4), [0.0]),
+        (np.ones((2, 0)), [0.0, 0.0]),
+        (np.ones((2, 3)), [0.0]),
+        (np.ones((2, 3)), [0.0, -1.0]),
+        (np.ones((2, 3)), [0.0, np.nan]),
+        (np.ones((2, 3)), [np.inf, 0.0]),
+    ):
+        with pytest.raises(ValueError):
+            WindowStack(0, bad_coeffs, bad_tails)
 
 
 def test_fft_length_is_smallest_5_smooth_at_least_n():

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from dttokit import (
     tm_basis,
 )
 from dttokit.cli import dispatch_minmod
+from dttokit import fourier
 from dttokit.fourier import _takenaka_windows
 from dttokit.minmod import MinModReport
 from dttokit.modelspace import gram_matrix
@@ -396,3 +398,40 @@ def test_inner_corner_builds_the_window_of_phi_once():
     _takenaka_windows.cache_clear()
     min_modulus_corner(u, BlaschkeQuotient(1.0, 1, (0.3,)))
     assert _takenaka_windows.cache_info()[:2] == (2, 2)
+
+
+def test_the_basis_gram_is_paired_once_per_build(monkeypatch):
+    u = BlaschkeProduct(1.0, (0.5, -0.3j, 0.2 + 0.4j))
+    pairings = []
+    pair = fourier._pairing
+
+    def counted(fs, gs):
+        pairings.append((fs, gs))
+        return pair(fs, gs)
+
+    monkeypatch.setattr(fourier, "_pairing", counted)
+    _takenaka_windows.cache_clear()
+    first = tm_basis(u)
+    assert len(pairings) == 1
+    # the second call of a dispatch finds the build, and its Gram, cached
+    second = tm_basis(u)
+    assert len(pairings) == 1
+    assert second.elements is first.elements
+
+
+def test_stacked_assembly_peaks_no_higher_than_the_per_element_one():
+    # an element-by-element assembly of these dispatches peaks at 15.67 and
+    # 12.92 MB under tracemalloc; products of the whole stack hold d rows of
+    # an FFT at once, and must not raise the peak
+    for u, phi, limit in (
+        (_ring(64, 0.99), Z, 15.7e6),
+        (_ring(8, 0.999), BlaschkeQuotient(1.0, -1, (0.3,)), 12.92e6),
+    ):
+        _takenaka_windows.cache_clear()
+        tracemalloc.start()
+        try:
+            dispatch_minmod(u, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit

@@ -25,12 +25,18 @@ from dttokit import (
 )
 from dttokit import operators, oracle
 from dttokit.fourier import (
+    _DIRECT_PRODUCT_MAX,
     Conjugate,
+    PiecewiseArcs,
     _coeffs_over,
     delta_window,
     is_analytic,
+    project_analytic,
+    project_antianalytic,
     symbol_to_window,
     takenaka_realization,
+    window_conjugate,
+    window_multiply,
     window_shift,
     window_sub,
 )
@@ -39,6 +45,7 @@ from dttokit.operators import (
     conjugate_sandwich,
     _dtto_rectangular,
     _hankel_view,
+    _symbol_window_for_basis,
 )
 from dttokit.oracle import oracle_rank_one_spectrum, truncated_toeplitz_norm_hankel
 
@@ -460,6 +467,110 @@ def test_galerkin_block_rows_reach_the_laurent_support(u, phi, n):
     width = max(abs(lo), abs(hi), w_u + hi, w_u - lo)
     block = _dtto_rectangular(u, phi, n, tol)
     assert block.shape == (2 * (n + width + 1), 2 * n)
+
+
+# ---------------------------------------------------------------------------
+# whole-stack assembly against an element-by-element reference
+
+
+def _per_element_truncated_toeplitz(basis, phi, tol):
+    """A_phi and its entry error from one product and one pairing per element."""
+    w = _symbol_window_for_basis(phi, basis, tol)
+    images = [window_multiply(w, e) for e in basis.basis]
+    a = window_inner_product(images, basis.basis)
+    max_tail = max(e.tail_bound for e in basis.basis)
+    return a, max(img.tail_bound + img.norm() * max_tail for img in images)
+
+
+def _per_element_corner_gram(basis, phi, tol):
+    """The corner Gram and its entry error from per-element images."""
+    phi_w = _symbol_window_for_basis(phi, basis, tol)
+    ubar_phi = window_multiply(window_conjugate(basis.inner.window(tol)), phi_w)
+    t = [project_analytic(window_multiply(ubar_phi, e)) for e in basis.basis]
+    h = [project_antianalytic(window_multiply(phi_w, e)) for e in basis.basis]
+    g = window_inner_product(t, t) + window_inner_product(h, h)
+    err = max(
+        2.0 * (ti.tail_bound * max(ti.norm(), 1.0) + hi.tail_bound * max(hi.norm(), 1.0))
+        for ti, hi in zip(t, h)
+    )
+    return g, err
+
+
+# moduli up to 0.985, with a stratum near the top so that long windows, and
+# with them the FFT product, come up often
+_STACK_ZERO = st.one_of(
+    st.builds(_polar, st.floats(0.0, 0.985), _ANGLE),
+    st.builds(_polar, st.floats(0.9, 0.985), _ANGLE),
+)
+
+
+@st.composite
+def _stack_inners(draw):
+    """Zeros of modulus up to 0.985, zeros at 0 among them, some repeated."""
+    distinct = draw(st.lists(st.one_of(st.just(0j), _STACK_ZERO), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=5))
+    return BlaschkeProduct(1.0, tuple(distinct[i] for i in picks))
+
+
+@st.composite
+def _unimodular_piecewise(draw):
+    cuts = sorted(set(draw(st.lists(st.floats(0.1, 2 * np.pi - 0.1), min_size=1, max_size=3))))
+    edges = [0.0, *cuts, 2 * np.pi]
+    values = draw(st.lists(_ANGLE, min_size=len(edges) - 1, max_size=len(edges) - 1))
+    return PiecewiseArcs(tuple((a, b, np.exp(1j * t)) for a, b, t in zip(edges, edges[1:], values)))
+
+
+_STACK_QUOTIENT = st.builds(
+    BlaschkeQuotient,
+    st.builds(_polar, st.just(1.0), _ANGLE),
+    st.integers(-2, 2),
+    st.lists(_STACK_ZERO, max_size=3).map(tuple),
+)
+
+
+_STACK_SYMBOLS = st.one_of(
+    _LAURENT, _STACK_QUOTIENT, _STACK_QUOTIENT.map(Conjugate), _unimodular_piecewise()
+)
+# every product direct: a short basis and a Laurent symbol
+_SHORT_CASE = (BlaschkeProduct(1.0, (0.3, 0j, 0.3)), LaurentPoly(-1, [0.5, 1.0, 0.25j]))
+# every product by FFT: a long basis and a long two-sided quotient window
+_LONG_CASE = (
+    BlaschkeProduct(1.0, (0.985, 0j, -0.985j, 0.985)),
+    Conjugate(BlaschkeQuotient(1.0, 1, (0.9, 0.95j))),
+)
+
+
+@settings(max_examples=60)
+@given(u=_stack_inners(), phi=_STACK_SYMBOLS)
+@example(*_SHORT_CASE)
+@example(*_LONG_CASE)
+# one zero near the circle, phi = 1: equal coefficients, norms summed apart
+@example(BlaschkeProduct(1.0, (_polar(0.984375, 3.4453125),)), BlaschkeQuotient(1.0, 0, ()))
+def test_stacked_assembly_matches_the_per_element_reference(u, phi):
+    tol = 1e-9
+    basis = tm_basis(u, tol)
+    for build, reference in (
+        (truncated_toeplitz, _per_element_truncated_toeplitz),
+        (corner_gram, _per_element_corner_gram),
+    ):
+        stacked = build(basis, phi, tol)
+        ref, ref_err = reference(basis, phi, tol)
+        scale = max(1.0, np.abs(ref).max())
+        assert np.abs(stacked.entries - ref).max() <= 1e-13 * scale
+        # the bound reads l2 norms of computed images: sums over rows padded
+        # to the stack width, and products at other FFT lengths, round them
+        # apart by a few ulps (up to 6 in 800 random draws)
+        assert abs(stacked.entry_error - ref_err) <= 16 * EPS * ref_err
+
+
+def test_the_reference_examples_reach_both_product_paths():
+    tol = 1e-9
+    u, phi = _SHORT_CASE
+    assert tm_basis(u, tol).window_width() <= _DIRECT_PRODUCT_MAX
+    u, phi = _LONG_CASE
+    long = tm_basis(u, tol)
+    phi_w = _symbol_window_for_basis(phi, long, tol)
+    assert min(long.window_width(), len(phi_w.coeffs)) > _DIRECT_PRODUCT_MAX
 
 
 # ---------------------------------------------------------------------------
