@@ -37,7 +37,6 @@ from .fourier import (
 )
 from .modelspace import (
     ModelBasis,
-    gram_matrix,
     reproducing_kernel,
     tm_basis,
 )

@@ -231,8 +231,12 @@ def main(argv=None) -> int:
             if not math.isfinite(args.perturb_oracle):
                 raise ValueError(f"--perturb-oracle must be finite, got {args.perturb_oracle!r}")
             return cmd_verify(args.perturb_oracle)
-        inner = blaschke_from_json(_load_json_arg(args.inner)) if args.inner else None
-        symbol = symbol_from_json(_load_json_arg(args.symbol)) if args.symbol else None
+        try:
+            inner = blaschke_from_json(_load_json_arg(args.inner)) if args.inner else None
+            symbol = symbol_from_json(_load_json_arg(args.symbol)) if args.symbol else None
+        except (OverflowError, OSError, RecursionError) as exc:
+            # an infinite integer, an unreadable path or nesting too deep to parse
+            raise ValueError(f"unreadable input: {type(exc).__name__}: {exc}") from exc
         truncs = [int(t) for t in (getattr(args, "truncations", None) or "").split(",") if t.strip()]
         _check_tol(args.tol)
         if any(b <= a for a, b in zip(truncs, truncs[1:])):

@@ -49,28 +49,37 @@ class SymbolClassError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FourierWindow:
-    """A finite Laurent coefficient block with a certified l2 tail bound.
+    """A finite Laurent coefficient block with a certified l2 tail bound,
+    or a stack of such blocks over one shared index range.
 
-    ``coeffs[j]`` is the coefficient of index ``offset + j``.  The l2 norm
-    of the block underestimates the true L2 norm of the function by at
-    most ``tail_bound``.
+    ``coeffs[..., j]`` is the coefficient of index ``offset + j``, with
+    shape (W,) for one window or (rows, W) for a stack whose row k is a
+    window, zero outside its own support.  ``tail_bound`` has shape
+    ``coeffs.shape[:-1]`` (a float for one window): the l2 norm of each
+    row underestimates the true L2 norm of its function by at most its
+    tail.  Products and pairings take a stack whole, so a basis is
+    multiplied and paired in one call rather than element by element.
+    The coefficients are taken without a copy and held as a read-only
+    view.
     """
 
     offset: int
     coeffs: np.ndarray
-    tail_bound: float = 0.0
+    tail_bound: Union[float, np.ndarray] = 0.0
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("window coefficients must be a nonempty 1-D sequence")
-        if not (np.isfinite(self.tail_bound) and self.tail_bound >= 0.0):
+        arr = np.asarray(self.coeffs, dtype=np.complex128).view()
+        tails = np.array(self.tail_bound, dtype=float)
+        if arr.ndim not in (1, 2) or arr.size == 0 or tails.shape != arr.shape[:-1]:
+            raise ValueError("a window needs nonempty 1-D or 2-D coefficients and one tail per row")
+        # a NaN fails the first comparison
+        if not 0.0 <= tails.min() <= tails.max() < math.inf:
             raise ValueError("tail_bound must be finite and nonnegative")
-        arr = arr.copy()
         arr.flags.writeable = False
+        tails.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "offset", int(self.offset))
-        object.__setattr__(self, "tail_bound", float(self.tail_bound))
+        object.__setattr__(self, "tail_bound", tails if tails.ndim else float(tails))
 
     @property
     def lo(self) -> int:
@@ -78,92 +87,35 @@ class FourierWindow:
 
     @property
     def hi(self) -> int:
-        return self.offset + len(self.coeffs) - 1
+        return self.offset + self.coeffs.shape[-1] - 1
 
     def coeff_at(self, n: int) -> complex:
-        """Coefficient of index ``n``; zero outside the stored block."""
+        """Coefficient of index ``n`` of one window; zero outside the
+        stored block."""
         j = n - self.offset
         if 0 <= j < len(self.coeffs):
             return complex(self.coeffs[j])
         return 0.0 + 0.0j
 
-    def norm(self) -> float:
-        """l2 norm of the stored block."""
+    def norm(self):
+        """l2 norm of the stored block, or of each row of a stack."""
         return self._norm
 
     @functools.cached_property
-    def _norm(self) -> float:
+    def _norm(self):
         # computed on first use and kept, as numpy.linalg.norm sums it: the
         # coefficients are read-only
+        if self.coeffs.ndim == 2:
+            norms = _row_norms(self.coeffs)
+            norms.flags.writeable = False
+            return norms
         re, im = self.coeffs.real, self.coeffs.imag
         return math.sqrt(re.dot(re) + im.dot(im))
 
     def eval_at(self, z: complex) -> complex:
-        """Sum c_n z^n over the stored block (z != 0 if lo < 0)."""
+        """Sum c_n z^n over the stored block of one window (z != 0 if lo < 0)."""
         n = np.arange(self.lo, self.hi + 1)
         return complex(np.sum(self.coeffs * np.power(complex(z), n)))
-
-
-def delta_window(n: int, value: complex = 1.0) -> FourierWindow:
-    return FourierWindow(n, np.array([value], dtype=np.complex128), 0.0)
-
-
-def _coeffs_over(w: FourierWindow, lo: int, hi: int) -> np.ndarray:
-    """Coefficients of w at the indices lo..hi, zero outside its block."""
-    out = np.zeros(hi - lo + 1, dtype=np.complex128)
-    a, b = max(lo, w.lo), min(hi, w.hi)
-    if a <= b:
-        out[a - lo : b - lo + 1] = w.coeffs[a - w.lo : b - w.lo + 1]
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class WindowStack:
-    """Windows over one shared index block, one row each.
-
-    ``coeffs[k, j]`` is the coefficient of index ``offset + j`` of window
-    k, zero outside that window's own support, and ``tail_bound[k]``
-    bounds the l2 mass window k omits.  Products and pairings take a
-    stack whole, so a basis is multiplied and paired in one call rather
-    than element by element.  The coefficients are taken without a copy
-    and held as a read-only view.
-    """
-
-    offset: int
-    coeffs: np.ndarray
-    tail_bound: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.complex128).view()
-        tails = np.array(self.tail_bound, dtype=float)
-        if arr.ndim != 2 or arr.size == 0 or tails.shape != arr.shape[:1]:
-            raise ValueError("a window stack needs nonempty 2-D coefficients and one tail per row")
-        # a NaN fails the first comparison
-        if not 0.0 <= tails.min() <= tails.max() < math.inf:
-            raise ValueError("tail bounds must be finite and nonnegative")
-        arr.flags.writeable = False
-        tails.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "offset", int(self.offset))
-        object.__setattr__(self, "tail_bound", tails)
-
-    @property
-    def lo(self) -> int:
-        return self.offset
-
-    @property
-    def hi(self) -> int:
-        return self.offset + self.coeffs.shape[1] - 1
-
-    def norm(self) -> np.ndarray:
-        """l2 norms of the stored rows."""
-        return self._norm
-
-    @functools.cached_property
-    def _norm(self) -> np.ndarray:
-        norms = _row_norms(self.coeffs)
-        norms.flags.writeable = False
-        return norms
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
@@ -184,16 +136,17 @@ class WindowStack:
         return tuple(out)
 
 
-def _stack_windows(windows, lo: int, hi: int) -> np.ndarray:
-    """One row per window of a sequence or of a stack: its coefficients at
-    the indices lo..hi.  A stack's rows are read as a view, so lo..hi
-    must lie inside its block."""
-    if isinstance(windows, WindowStack):
-        return windows.coeffs[:, lo - windows.lo : hi - windows.lo + 1]
-    rows = np.empty((len(windows), hi - lo + 1), dtype=np.complex128)
-    for row, w in zip(rows, windows):
-        row[:] = _coeffs_over(w, lo, hi)
-    return rows
+def delta_window(n: int, value: complex = 1.0) -> FourierWindow:
+    return FourierWindow(n, np.array([value], dtype=np.complex128), 0.0)
+
+
+def _coeffs_over(w: FourierWindow, lo: int, hi: int) -> np.ndarray:
+    """Coefficients of w at the indices lo..hi, zero outside its block."""
+    out = np.zeros(hi - lo + 1, dtype=np.complex128)
+    a, b = max(lo, w.lo), min(hi, w.hi)
+    if a <= b:
+        out[a - lo : b - lo + 1] = w.coeffs[a - w.lo : b - w.lo + 1]
+    return out
 
 
 def _smooth_numbers(limit: int) -> tuple:
@@ -247,9 +200,9 @@ def _cauchy_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft(fa, out=fa)[..., :n]
 
 
-def window_multiply(f, g):
+def window_multiply(f: FourierWindow, g: FourierWindow) -> FourierWindow:
     """Cauchy product of two windows, or of a window with every row of a
-    :class:`WindowStack` (the result is then a stack).
+    stack (the result is then a stack).
 
     The output tail is propagated as ||f|| tail(g) + ||g|| tail(f)
     + tail(f) tail(g), row by row for a stack, which also bounds the
@@ -259,13 +212,13 @@ def window_multiply(f, g):
     """
     coeffs = _cauchy_product(f.coeffs, g.coeffs)
     tail = f.norm() * g.tail_bound + g.norm() * f.tail_bound + f.tail_bound * g.tail_bound
-    kind = FourierWindow if coeffs.ndim == 1 else WindowStack
-    return kind(f.offset + g.offset, coeffs, tail)
+    return FourierWindow(f.offset + g.offset, coeffs, tail)
 
 
 def window_conjugate(f: FourierWindow) -> FourierWindow:
-    """Coefficients of conj(f): g_hat(n) = conj(f_hat(-n))."""
-    return FourierWindow(-f.hi, np.conj(f.coeffs[::-1]), f.tail_bound)
+    """Coefficients of conj(f): g_hat(n) = conj(f_hat(-n)), row by row for
+    a stack."""
+    return FourierWindow(-f.hi, np.conj(f.coeffs[..., ::-1]), f.tail_bound)
 
 
 def window_scale(f: FourierWindow, c: complex) -> FourierWindow:
@@ -287,66 +240,53 @@ def window_sub(f: FourierWindow, g: FourierWindow) -> FourierWindow:
     return window_add(f, window_scale(g, -1.0))
 
 
-def window_inner_product(f, g):
+def window_inner_product(f: FourierWindow, g: FourierWindow):
     """l2 pairing sum f_hat(n) conj(g_hat(n)) over the common support.
 
     Realizes the L2(T) inner product; the absolute error is at most
     ||f|| tail(g) + ||g|| tail(f) + tail(f) tail(g).  Either argument may
-    be a :class:`WindowStack` or a sequence of windows; the result is then
-    the array of pairings P[j, k] = <f_k, g_j>, with the axis of a
-    single-window argument dropped.
+    be a stack; the result is then the array of pairings
+    P[j, k] = <f_k, g_j>, with the axis of a single-window argument
+    dropped.
     """
-    p = _pairing(
-        [f] if isinstance(f, FourierWindow) else f,
-        [g] if isinstance(g, FourierWindow) else g,
-    )
-    if isinstance(f, FourierWindow):
-        p = p[:, 0]
-    if isinstance(g, FourierWindow):
-        p = p[0]
+    p = _pairing(f, g).reshape(g.coeffs.shape[:-1] + f.coeffs.shape[:-1])
     return complex(p) if p.ndim == 0 else p
 
 
-def _pairing(fs, gs) -> np.ndarray:
-    """P[j, k] = <f_k, g_j> for two stacks or sequences of windows.  Both
-    sides are read over their common index range a block of indices at a
-    time, a stack as views of its rows, so the copies stay small."""
-    spans = []
-    for ws in (fs, gs):
-        if isinstance(ws, WindowStack):
-            spans.append((ws.lo, ws.hi, len(ws.coeffs)))
-        else:
-            spans.append((min(w.lo for w in ws), max(w.hi for w in ws), len(ws)))
-    (flo, fhi, nf), (glo, ghi, ng) = spans
-    lo, hi = max(flo, glo), min(fhi, ghi)
-    p = np.zeros((ng, nf), dtype=np.complex128)
+def _pairing(f: FourierWindow, g: FourierWindow) -> np.ndarray:
+    """P[j, k] = <f_k, g_j> for the rows of two windows, a single window
+    read as a one-row stack.  Both are read over their common index range
+    a block of indices at a time, as views of their rows, so the copies
+    stay small."""
+    fs, gs = np.atleast_2d(f.coeffs), np.atleast_2d(g.coeffs)
+    lo, hi = max(f.lo, g.lo), min(f.hi, g.hi)
+    p = np.zeros((len(gs), len(fs)), dtype=np.complex128)
     for a in range(lo, hi + 1, _PAIRING_BLOCK):
         b = min(a + _PAIRING_BLOCK - 1, hi)
-        gbar = np.conj(_stack_windows(gs, a, b))
-        p += gbar @ _stack_windows(fs, a, b).T
+        gbar = np.conj(gs[:, a - g.lo : b - g.lo + 1])
+        p += gbar @ fs[:, a - f.lo : b - f.lo + 1].T
     return p
 
 
-def _keep(f, lo: int, hi: int, empty_at: int):
+def _keep(f: FourierWindow, lo: int, hi: int, empty_at: int) -> FourierWindow:
     """The indices lo..hi of a window or of every row of a stack, tails
     kept; one zero coefficient at index empty_at if f stores none of them.
-    A stack takes its rows without a copy, so the kept block is copied
-    out here and the product it was cut from can be freed."""
+    A window takes its coefficients without a copy, so the kept block is
+    copied out here and the product it was cut from can be freed."""
     a, b = max(f.lo, lo), min(f.hi, hi)
     if a > b:
         zero = np.zeros(f.coeffs.shape[:-1] + (1,), dtype=np.complex128)
         return replace(f, offset=empty_at, coeffs=zero)
-    coeffs = f.coeffs[..., a - f.lo : b - f.lo + 1]
-    return replace(f, offset=a, coeffs=coeffs.copy() if coeffs.ndim == 2 else coeffs)
+    return replace(f, offset=a, coeffs=f.coeffs[..., a - f.lo : b - f.lo + 1].copy())
 
 
-def project_analytic(f):
+def project_analytic(f: FourierWindow) -> FourierWindow:
     """Keep indices n >= 0 (the H^2 part) of a window or of every row of a
     stack.  Tail bounds are preserved."""
     return _keep(f, 0, f.hi, 0)
 
 
-def project_antianalytic(f):
+def project_antianalytic(f: FourierWindow) -> FourierWindow:
     """Keep indices n <= -1 (the H^2_- part) of a window or of every row of
     a stack.  Tail bounds are preserved."""
     return _keep(f, f.lo, -1, -1)
@@ -420,14 +360,6 @@ def _check_tol(tol: float) -> None:
     """Reject any tolerance outside 0 < tol < inf, naming the value."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-
-
-def _factor_width(r: float, tol: float) -> int:
-    """Smallest n with sqrt(1 - r^2) * r^n <= tol (geometric l2 tail)."""
-    if r == 0.0:
-        return 1
-    n = int(np.ceil(np.log(max(tol, 1e-300) / np.sqrt(1.0 - r * r)) / np.log(r)))
-    return max(n, 1)
 
 
 def _checked_inner_data(constant, zeros):
@@ -528,7 +460,7 @@ def _power_error(fros, eta: float, gamma: float) -> float:
 @functools.lru_cache(maxsize=2)
 def _takenaka_windows(zeros: tuple, tol: float):
     """Takenaka-Malmquist elements (e_1, ..., e_d) of the zeros, as the
-    rows of one :class:`WindowStack`, and their Blaschke product window
+    rows of one window stack, and their Blaschke product window
     p, each cut where its own certified tail first meets the budget
     tol/(2(d+1)).
 
@@ -546,7 +478,7 @@ def _takenaka_windows(zeros: tuple, tol: float):
     norm plus the stored coefficients past the cut, meets the budget, and
     the stack rows are zeroed past their cuts; the coefficients that
     vanish because zeros at 0 precede an element are exact zeros, which p
-    and the element's window (:meth:`WindowStack.rows`) leave out of
+    and the element's window (:meth:`FourierWindow.rows`) leave out of
     their block, so every window holds its own support.
 
     Margin: each reported tail is that mass times
@@ -612,11 +544,12 @@ def _takenaka_windows(zeros: tuple, tol: float):
         omitted = tail_n**2 + (drop[n - cut - 1] if cut < n else 0.0)
         cuts.append(cut)
         tails.append(math.sqrt(omitted) * slack + err)
-    p = FourierWindow(offsets[-1], stack[-1, offsets[-1] : cuts[-1]], tails[-1])
+    # copies, so that no kept window holds on to the doubling stack
+    p = FourierWindow(offsets[-1], stack[-1, offsets[-1] : cuts[-1]].copy(), tails[-1])
     elements = stack[:-1, : max(cuts[:-1])].copy()
     for row, cut in zip(elements, cuts):
         row[cut:] = 0.0
-    return WindowStack(0, elements, tails[:-1]), p
+    return FourierWindow(0, elements, tails[:-1]), p
 
 
 def _blaschke_product_window(zeros, tol: float) -> FourierWindow:

@@ -22,7 +22,7 @@ from .fourier import (
     is_analytic,
     is_unimodular,
 )
-from .modelspace import gram_matrix, tm_basis
+from .modelspace import tm_basis
 from .operators import (
     OperatorMatrix,
     corner_images,
@@ -154,8 +154,8 @@ def min_modulus_bounds(
     _require_unimodular(phi)
     basis = tm_basis(u, tol)
     t_imgs, h_imgs = corner_images(basis, conjugated(phi), tol)
-    t_sq = float(np.linalg.eigvalsh(gram_matrix(t_imgs))[-1])
-    h_sq = float(np.linalg.eigvalsh(gram_matrix(h_imgs))[-1])
+    t_sq = float(np.linalg.eigvalsh(t_imgs.gram)[-1])
+    h_sq = float(np.linalg.eigvalsh(h_imgs.gram)[-1])
     lower = float(np.sqrt(max(0.0, 1.0 - (t_sq + h_sq))))
     upper = float(
         min(np.sqrt(max(0.0, 1.0 - t_sq)), np.sqrt(max(0.0, 1.0 - h_sq)))

@@ -18,14 +18,8 @@ from .fourier import (
     BlaschkeProduct,
     FourierWindow,
     SymbolClassError,
-    WindowStack,
-    geometric_window,
-    window_add,
-    window_multiply,
-    window_scale,
+    takenaka_realization,
     _check_tol,
-    _factor_width,
-    _stack_windows,
     _takenaka_windows,
 )
 
@@ -38,7 +32,7 @@ class ModelBasis:
     elements are the rows of one window stack."""
 
     inner: BlaschkeProduct
-    elements: WindowStack
+    elements: FourierWindow
 
     @property
     def dim(self) -> int:
@@ -57,18 +51,6 @@ class ModelBasis:
         return float(self.elements.tail_bound.max())
 
 
-def gram_matrix(windows) -> np.ndarray:
-    """Gram matrix G[j, k] = <w_k, w_j> of a window stack, or of a sequence
-    of windows stacked over their hull; read-only.  A stack keeps its
-    Gram, so the Gram of a cached basis build is formed once."""
-    if not isinstance(windows, WindowStack):
-        lo = min(w.lo for w in windows)
-        hi = max(w.hi for w in windows)
-        tails = [w.tail_bound for w in windows]
-        windows = WindowStack(lo, _stack_windows(windows, lo, hi), tails)
-    return windows.gram
-
-
 def tm_basis(u: BlaschkeProduct, tol: float = 1e-12) -> ModelBasis:
     """Orthonormal Takenaka-Malmquist basis, one stack of certified windows.
 
@@ -84,7 +66,7 @@ def tm_basis(u: BlaschkeProduct, tol: float = 1e-12) -> ModelBasis:
     build_tol = tol
     for _ in range(4):
         elements = _takenaka_windows(u.zeros, build_tol)[0]
-        defect = np.abs(gram_matrix(elements) - np.eye(u.degree)).max()
+        defect = np.abs(elements.gram - np.eye(u.degree)).max()
         if defect <= GRAM_DEFECT_LIMIT:
             return ModelBasis(u, elements)
         build_tol /= 100.0
@@ -94,13 +76,17 @@ def tm_basis(u: BlaschkeProduct, tol: float = 1e-12) -> ModelBasis:
 def reproducing_kernel(u: BlaschkeProduct, lam: complex, tol: float = 1e-12) -> FourierWindow:
     """Window of k_lam(z) = (1 - conj(u(lam)) u(z)) / (1 - conj(lam) z).
 
-    Satisfies <f, k_lam> = f(lam) for every f in the model space.
+    Read off the basis and u's realization (:func:`takenaka_realization`):
+    k_lam = sum_k conj(e_k(lam)) e_k, where e(lam) solves the d x d system
+    (I - lam conj(A_z)) x = e(0), and its tail is sum_k |e_k(lam)| tail(e_k).
+    Satisfies <f, k_lam> = f(lam) for every f in the model space.  Rejects
+    constant inner functions with SymbolClassError, as :func:`tm_basis`.
     """
     lam = complex(lam)
     if abs(lam) >= 1.0:
         raise ValueError("kernel point must lie in the open unit disc")
-    _check_tol(tol)
-    geom = geometric_window(lam, _factor_width(abs(lam), tol / 4.0))
-    uw = u.window(tol / 4.0)
-    prod = window_multiply(uw, geom)
-    return window_add(geom, window_scale(prod, -np.conj(u(lam))))
+    elements = tm_basis(u, tol).elements
+    a, e0, _ = takenaka_realization(u.zeros)
+    m = np.eye(u.degree) - lam * np.conj(a).astype(np.complex128)
+    e = np.linalg.solve(m, e0.astype(np.complex128))
+    return FourierWindow(0, np.conj(e) @ elements.coeffs, np.abs(e) @ elements.tail_bound)

@@ -30,7 +30,7 @@ from .fourier import (
     window_multiply,
     _coeffs_over,
 )
-from .modelspace import ModelBasis, gram_matrix
+from .modelspace import ModelBasis
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,14 +38,15 @@ class OperatorMatrix:
     """Dense complex matrix with a per-entry error bound.
 
     Singular values computed downstream inherit the perturbation caveat
-    entry_error * sqrt(rows * cols).
+    entry_error * sqrt(rows * cols).  The entries are taken without a
+    copy and held as a read-only view.
     """
 
     entries: np.ndarray
     entry_error: float = 0.0
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.complex128).copy()
+        arr = np.asarray(self.entries, dtype=np.complex128).view()
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("matrix entries must form a nonempty 2-D array")
         if not (np.isfinite(self.entry_error) and self.entry_error >= 0.0):
@@ -156,7 +157,7 @@ def corner_gram(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -> Opera
     by phi is an isometry of L^2.
     """
     t, h = corner_images(basis, phi, tol)
-    g = gram_matrix(t) + gram_matrix(h)
+    g = t.gram + h.gram
     err = np.max(
         2.0 * (t.tail_bound * np.maximum(t.norm(), 1.0) + h.tail_bound * np.maximum(h.norm(), 1.0))
     )

@@ -76,7 +76,7 @@ def test_minmod_constant_symbol(capsys):
     assert out["value"] == 1.0 and out["method"] == "oracle"
 
 
-def test_minmod_exit_code_on_malformed_json(capsys):
+def test_minmod_exit_code_on_malformed_json(capsys, tmp_path):
     assert main(["minmod", "--inner", "{broken", "--symbol", PHI_Z]) == 2
     assert main(["minmod", "--inner", U_Z2, "--symbol", '{"kind": "nope"}']) == 2
     assert main(["minmod", "--inner", "no-such-file.json", "--symbol", PHI_Z]) == 2
@@ -90,6 +90,17 @@ def test_minmod_exit_code_on_malformed_json(capsys):
     for sym in (nan_arc, nan_sum, inf_coeff):
         assert main(["minmod", "--symbol", sym]) == 2
     assert "must be finite" in capsys.readouterr().err
+    # an integer field that overflows, a directory and nesting too deep to
+    # parse: unreadable input, not a failed verification
+    inf_offset = '{"kind": "laurent", "offset": Infinity, "coeffs": [[1, 0]]}'
+    huge_power = '{"kind": "blaschke_quotient", "z_power": 1e400, "zeros": [[0.3, 0]]}'
+    nested = '{"kind": "conjugate", "of": ' * 3000 + PHI_Z + "}" * 3000
+    for sym in (inf_offset, huge_power, nested):
+        assert main(["minmod", "--inner", U_HALF, "--symbol", sym]) == 2
+    assert main(["minmod", "--inner", str(tmp_path), "--symbol", PHI_Z]) == 2
+    err = capsys.readouterr().err
+    for name in ("OverflowError", "RecursionError", "IsADirectoryError"):
+        assert f"unreadable input: {name}" in err
     # a non-finite negative-control shift is malformed input, not a failed check
     for shift in ("nan", "inf", "-inf"):
         assert main(["verify", f"--perturb-oracle={shift}"]) == 2

@@ -28,7 +28,6 @@ from dttokit.fourier import (
     _fft_length,
     _geometric_powers,
     _takenaka_windows,
-    WindowStack,
     delta_window,
     geometric_window,
     project_analytic,
@@ -334,7 +333,12 @@ def test_multiply_exact_windows_stay_exact_beside_long_factors():
 def _random_stack(seed, rows, length, offset):
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((rows, length)) + 1j * rng.standard_normal((rows, length))
-    return WindowStack(offset, coeffs, rng.uniform(0.0, 1e-3, rows))
+    return FourierWindow(offset, coeffs, rng.uniform(0.0, 1e-3, rows))
+
+
+def _pairings(fs, gs):
+    """P[j, k] = <f_k, g_j>, one pair of single windows at a time."""
+    return np.array([[window_inner_product(f, g) for f in fs] for g in gs])
 
 
 @pytest.mark.parametrize("m", [3, _DIRECT_PRODUCT_MAX + 50])
@@ -344,7 +348,7 @@ def test_stack_products_and_pairings_are_those_of_their_rows(m):
     rows = stack.rows()
     assert [(w.lo, w.hi) for w in rows] == [(-20, 279)] * 4
     for prod in (window_multiply(f, stack), window_multiply(stack, f)):
-        assert isinstance(prod, WindowStack)
+        assert prod.coeffs.shape == (4, 300 + m - 1) and prod.tail_bound.shape == (4,)
         for row, tail, w in zip(prod.coeffs, prod.tail_bound, rows):
             ref = window_multiply(f, w)
             assert prod.lo == ref.lo and prod.hi == ref.hi
@@ -354,11 +358,11 @@ def test_stack_products_and_pairings_are_those_of_their_rows(m):
                 assert np.abs(row - ref.coeffs).max() <= 1e-12 * np.abs(ref.coeffs).max()
             # the row norms are summed in another order
             assert tail == pytest.approx(ref.tail_bound, rel=1e-14)
-    # P[j, k] = <f_k, g_j>, whatever mix of stacks, sequences and windows
-    ref = window_inner_product(rows, rows)
+    # P[j, k] = <f_k, g_j>, whatever mix of stacks and single windows
+    ref = _pairings(rows, rows)
     assert np.abs(window_inner_product(stack, stack) - ref).max() <= 1e-12
-    assert np.abs(window_inner_product(stack, rows) - ref).max() <= 1e-12
-    assert np.abs(window_inner_product(f, stack) - window_inner_product(f, rows)).max() <= 1e-12
+    assert np.abs(window_inner_product(f, stack) - _pairings([f], rows)[:, 0]).max() <= 1e-12
+    assert np.abs(window_inner_product(stack, f) - _pairings(rows, [f])[0]).max() <= 1e-12
     assert np.abs(stack.gram - ref).max() <= 1e-12
     assert not stack.gram.flags.writeable
 
@@ -373,7 +377,7 @@ def test_stack_projections_keep_the_tails_and_copy_the_kept_block():
         assert np.array_equal(part.tail_bound, stack.tail_bound)
         assert not np.shares_memory(part.coeffs, stack.coeffs)
     # nothing on the kept side: one zero coefficient per row, as for a window
-    right = WindowStack(3, stack.coeffs, stack.tail_bound)
+    right = FourierWindow(3, stack.coeffs, stack.tail_bound)
     empty = project_antianalytic(right)
     assert (empty.lo, empty.coeffs.shape) == (-1, (3, 1)) and not empty.coeffs.any()
     assert project_analytic(right).coeffs.shape == (3, 50)
@@ -383,23 +387,63 @@ def test_stack_invariants_and_rows():
     coeffs = np.zeros((3, 5), dtype=complex)
     coeffs[0, 1:3] = (1.0, 2.0j)
     coeffs[1, 4] = -1.0
-    stack = WindowStack(-2, coeffs, [0.0, 1e-3, 0.5])
+    stack = FourierWindow(-2, coeffs, [0.0, 1e-3, 0.5])
     assert (stack.lo, stack.hi) == (-2, 2)
     assert np.array_equal(stack.norm(), [np.sqrt(5.0), 1.0, 0.0])
     rows = stack.rows()
     assert [(w.lo, w.hi, w.tail_bound) for w in rows] == [(-1, 0, 0.0), (2, 2, 1e-3), (-2, -2, 0.5)]
     assert not rows[2].coeffs.any()
-    assert not stack.coeffs.flags.writeable
+    assert not stack.coeffs.flags.writeable and not stack.tail_bound.flags.writeable
+    # conj(f) mirrors the indices of every row, not the order of the rows
+    conj = window_conjugate(stack)
+    assert conj.lo == -2 and np.array_equal(conj.coeffs, np.conj(coeffs[:, ::-1]))
     for bad_coeffs, bad_tails in (
-        (np.ones(4), [0.0]),
         (np.ones((2, 0)), [0.0, 0.0]),
-        (np.ones((2, 3)), [0.0]),
         (np.ones((2, 3)), [0.0, -1.0]),
         (np.ones((2, 3)), [0.0, np.nan]),
         (np.ones((2, 3)), [np.inf, 0.0]),
     ):
         with pytest.raises(ValueError):
-            WindowStack(0, bad_coeffs, bad_tails)
+            FourierWindow(0, bad_coeffs, bad_tails)
+
+
+def test_window_tail_shape_must_match_the_rows():
+    for bad_coeffs, bad_tails in (
+        (np.ones(4), [0.0]),
+        (np.ones((2, 3)), [0.0]),
+        (np.ones((2, 3)), 0.0),
+        (np.ones((2, 3)), [0.0, 0.0, 0.0]),
+        (np.ones((1, 2, 3)), [[0.0, 0.0]]),
+    ):
+        with pytest.raises(ValueError, match="one tail per row"):
+            FourierWindow(0, bad_coeffs, bad_tails)
+
+
+def test_window_wraps_its_coefficients_without_a_copy():
+    for coeffs, tail in ((np.arange(4.0) + 1j, 0.1), (np.ones((2, 3), dtype=complex), [0.0, 0.1])):
+        w = FourierWindow(-1, coeffs, tail)
+        assert np.shares_memory(w.coeffs, coeffs)
+        # the view is read-only, the caller's array is left as it was
+        assert not w.coeffs.flags.writeable and coeffs.flags.writeable
+
+
+def _owner(a):
+    """The array that owns the memory a views."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_kept_windows_own_their_coefficients():
+    elements, p = _takenaka_windows((0.9, 0j, -0.5j, 0.9), 1e-10)
+    # copies cut from the doubling stack, which is not kept alive
+    assert not np.shares_memory(p.coeffs, elements.coeffs)
+    for w in (p, elements):
+        assert _owner(w.coeffs).nbytes == w.coeffs.nbytes
+    for f in (_random_window(3, 40, -10, 0.0), _random_stack(4, 3, 40, -10)):
+        for part in (project_analytic(f), project_antianalytic(f)):
+            assert not np.shares_memory(part.coeffs, f.coeffs)
+            assert _owner(part.coeffs).nbytes == part.coeffs.nbytes
 
 
 def test_fft_length_is_smallest_5_smooth_at_least_n():

@@ -11,6 +11,8 @@ Every private module-level helper also has a caller inside the package,
 so a helper cannot outlive its last caller.  A ``_``-prefixed name that
 one module imports from another is listed below; the list must match the
 code exactly, so it can only shrink as helpers move to their one reader.
+The names the package itself binds are pinned the same way, so the public
+API can only shrink.
 """
 
 import ast
@@ -28,13 +30,29 @@ KNOWN_PRIVATE_IMPORTS = {
     ("cli", "oracle", "_oracle_for"),
     ("minmod", "operators", "_dtto_rectangular"),
     ("modelspace", "fourier", "_check_tol"),
-    ("modelspace", "fourier", "_factor_width"),
-    ("modelspace", "fourier", "_stack_windows"),
     ("modelspace", "fourier", "_takenaka_windows"),
     ("operators", "fourier", "_coeffs_over"),
     ("oracle", "fourier", "_fold_wrappers"),
     ("oracle", "operators", "_hankel_view"),
     ("verify", "oracle", "_oracle_for"),
+}
+
+# every name dttokit/__init__.py binds
+KNOWN_PUBLIC_NAMES = {
+    "BlaschkeProduct", "BlaschkeQuotient", "Conjugate", "FourierWindow", "LaurentPoly",
+    "MinModReport", "ModelBasis", "OperatorMatrix", "PiecewiseArcs", "SumConst",
+    "SymbolClassError", "SymbolExpr", "__version__",
+    "blaschke_factor_coeffs", "blaschke_from_json", "blaschke_to_json", "compressed_shift",
+    "conjugated", "conjugation_action", "constant_symbol", "constant_value", "corner_gram",
+    "dual_toeplitz_matrix", "dual_truncated_toeplitz", "ess_range", "eval_symbol",
+    "galerkin_sweep", "hankel_matrix", "inner_symbol", "is_analytic", "is_unimodular",
+    "min_modulus_bounds", "min_modulus_corner", "min_modulus_toeplitz_hankel",
+    "min_modulus_unimodular", "normal_dtto_bounds", "oracle_m_compressed_shift",
+    "oracle_m_dual_shift", "oracle_rank_one_spectrum", "reduced_min_modulus",
+    "reproducing_kernel", "shift_symbol", "sigma_min", "symbol_from_json", "symbol_to_json",
+    "symbol_to_window", "tm_basis", "toeplitz_matrix", "truncated_toeplitz",
+    "truncated_toeplitz_norm_hankel", "window_add", "window_conjugate",
+    "window_inner_product", "window_multiply",
 }
 
 
@@ -180,3 +198,34 @@ def test_private_names_imported_across_modules_are_the_known_ones():
     for path in sorted(SRC.glob("*.py")):
         found.update(private_name_imports(path.read_text(encoding="utf-8"), path.stem))
     assert found == KNOWN_PRIVATE_IMPORTS
+
+
+def bound_names(source: str) -> set:
+    """Every name a module's top level binds by import or assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_the_binding_scan_sees_imports_assignments_and_definitions():
+    source = (
+        "from .fourier import a, b as c\n"
+        "import numpy.linalg\n"
+        "x = 1\n"
+        "y: int = 2\n"
+        "def f(): z = 3\n"
+        "class K: w = 4\n"
+    )
+    assert bound_names(source) == {"a", "c", "numpy", "x", "y", "f", "K"}
+
+
+def test_the_public_names_are_the_known_ones():
+    source = (SRC / "__init__.py").read_text(encoding="utf-8")
+    assert bound_names(source) == KNOWN_PUBLIC_NAMES

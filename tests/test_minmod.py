@@ -9,6 +9,7 @@ from dttokit import (
     BlaschkeQuotient,
     Conjugate,
     LaurentPoly,
+    PiecewiseArcs,
     SymbolClassError,
     compressed_shift,
     constant_symbol,
@@ -29,7 +30,6 @@ from dttokit.cli import dispatch_minmod
 from dttokit import fourier
 from dttokit.fourier import _takenaka_windows
 from dttokit.minmod import MinModReport
-from dttokit.modelspace import gram_matrix
 from dttokit.operators import OperatorMatrix
 from dttokit.oracle import oracle_m_compressed_shift
 
@@ -360,7 +360,7 @@ def test_long_window_basis_still_certifies():
     assert u.window(1e-12).tail_bound <= 1e-12
     basis = tm_basis(u, 1e-12)
     assert basis.window_width() > 12_000
-    assert np.abs(gram_matrix(basis.basis) - np.eye(u.degree)).max() <= 1e-10
+    assert np.abs(basis.elements.gram - np.eye(u.degree)).max() <= 1e-10
 
 
 def test_window_width_follows_the_slowest_pole_not_the_degree():
@@ -435,3 +435,18 @@ def test_stacked_assembly_peaks_no_higher_than_the_per_element_one():
         finally:
             tracemalloc.stop()
         assert peak <= limit
+
+
+def test_galerkin_block_is_wrapped_not_copied():
+    # the n = 256 block of this three-arc symbol holds about 13.5 MB; an
+    # OperatorMatrix that copied its entries held it twice, a 26.5 MB peak
+    u = BlaschkeProduct(1.0, (0.5, -0.3j))
+    phi = PiecewiseArcs(((0.0, 2.0, 1.0), (2.0, 4.0, 1j), (4.0, 2 * np.pi, -1.0)))
+    galerkin_sweep(u, phi, [16])
+    tracemalloc.start()
+    try:
+        galerkin_sweep(u, phi, [256])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6

@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dttokit import (
     BlaschkeProduct,
+    SymbolClassError,
     reproducing_kernel,
     tm_basis,
     window_inner_product,
+    window_multiply,
 )
 from dttokit import modelspace
-from dttokit.fourier import _takenaka_windows, delta_window, window_shift
-from dttokit.modelspace import gram_matrix
+from dttokit.fourier import (
+    _coeffs_over,
+    _takenaka_windows,
+    delta_window,
+    geometric_window,
+    window_scale,
+    window_shift,
+    window_sub,
+)
 
 from conftest import random_blaschke
 
@@ -37,7 +47,7 @@ def test_single_zero_basis_is_normalized_geometric_series():
 
 def test_degree_two_gram_is_identity():
     basis = tm_basis(BlaschkeProduct(1.0, (0.3, 0.6)))
-    assert np.abs(gram_matrix(basis.basis) - np.eye(2)).max() < 1e-10
+    assert np.abs(basis.elements.gram - np.eye(2)).max() < 1e-10
 
 
 def test_rejects_constant_inner_function():
@@ -52,7 +62,7 @@ def test_orthonormality_random_products(rng):
     for _ in range(20):
         u = random_blaschke(rng, max_degree=6, max_modulus=0.9)
         basis = tm_basis(u)
-        defect = np.abs(gram_matrix(basis.basis) - np.eye(u.degree)).max()
+        defect = np.abs(basis.elements.gram - np.eye(u.degree)).max()
         assert defect < 1e-10
 
 
@@ -68,7 +78,7 @@ def test_basis_elements_lie_in_model_space(rng):
 
 def test_repeated_zeros_supported():
     basis = tm_basis(BlaschkeProduct(1.0, (0.4, 0.4, 0.4)))
-    assert np.abs(gram_matrix(basis.basis) - np.eye(3)).max() < 1e-10
+    assert np.abs(basis.elements.gram - np.eye(3)).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +111,42 @@ def test_kernel_rejects_points_outside_disc():
     for tol in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             reproducing_kernel(BlaschkeProduct(1.0, (0.5,)), 0.3, tol)
+    # a constant u has the trivial model space, as on every other route
+    with pytest.raises(SymbolClassError, match="nonconstant"):
+        reproducing_kernel(BlaschkeProduct(1j, ()), 0.3)
+
+
+def _polar(r, t):
+    return complex(r * np.exp(1j * t))
+
+
+_POINT = st.one_of(st.just(0j), st.builds(_polar, st.floats(0.0, 0.95), st.floats(0.0, 2 * np.pi)))
+
+
+@st.composite
+def _kernel_inners(draw):
+    """Zeros of modulus up to 0.95, zeros at 0 among them, some repeated."""
+    distinct = draw(st.lists(_POINT, min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=5))
+    return BlaschkeProduct(_polar(1.0, draw(st.floats(0.0, 2 * np.pi))), tuple(distinct[i] for i in picks))
+
+
+@settings(max_examples=60)
+@given(u=_kernel_inners(), lam=_POINT)
+@example(u=BlaschkeProduct(1.0, (0j, 0.5, 0j, 0.5)), lam=0j)
+@example(u=BlaschkeProduct(-1.0, (0.95, 0.95j, 0.95)), lam=_polar(0.95, 0.3))
+def test_kernel_matches_the_closed_form_within_both_tails(u, lam):
+    tol = 1e-9
+    k = reproducing_kernel(u, lam, tol)
+    # reference: (1 - conj(u(lam)) u) / (1 - conj(lam) z), the geometric
+    # factor cut far enough out that its own tail is negligible
+    uw = u.window(1e-12)
+    geom = geometric_window(lam, 2 * max(k.hi, uw.hi) + 64)
+    ref = window_sub(geom, window_scale(window_multiply(uw, geom), np.conj(u(lam))))
+    hi = max(k.hi, ref.hi)
+    gap = np.linalg.norm(_coeffs_over(k, 0, hi) - _coeffs_over(ref, 0, hi))
+    # the stored coefficients carry roundoff the tails do not count
+    assert k.lo == 0 and gap <= k.tail_bound + ref.tail_bound + 1e-13
 
 
 def test_reproducing_property_random(rng):
@@ -112,7 +158,7 @@ def test_reproducing_property_random(rng):
             k = reproducing_kernel(u, lam)
             coords = rng.standard_normal(u.degree) + 1j * rng.standard_normal(u.degree)
             # <f, k> for f = sum coords[j] e_j, term by term
-            f_paired = coords @ window_inner_product(basis.basis, k)
+            f_paired = coords @ window_inner_product(basis.elements, k)
             f_at_lam = sum(
                 c * e.eval_at(lam) for c, e in zip(coords, basis.basis)
             )
@@ -124,7 +170,7 @@ def test_kernel_coordinates_match_evaluations(rng):
     basis = tm_basis(u)
     lam = 0.25 + 0.1j
     k = reproducing_kernel(u, lam)
-    coords = window_inner_product(k, basis.basis)
+    coords = window_inner_product(k, basis.elements)
     expected = np.array([np.conj(e.eval_at(lam)) for e in basis.basis])
     assert np.abs(coords - expected).max() < 1e-10
 
@@ -138,12 +184,12 @@ def test_projection_annihilates_u_times_analytic():
     u = BlaschkeProduct(1.0, (0.3, 0.6))
     basis = tm_basis(u)
     uz = window_shift(u.window(1e-13), 1)
-    assert np.abs(window_inner_product(uz, basis.basis)).max() < 1e-11
+    assert np.abs(window_inner_product(uz, basis.elements)).max() < 1e-11
 
 
 def test_projection_of_constant_in_monomial_space():
     basis = tm_basis(BlaschkeProduct(1.0, (0.0, 0.0)))
-    coords = window_inner_product(delta_window(0), basis.basis)
+    coords = window_inner_product(delta_window(0), basis.elements)
     assert np.allclose(coords, [1.0, 0.0])
 
 
@@ -152,18 +198,18 @@ def test_widening_retry_returns_wider_windows_never_the_rejected_ones(monkeypatc
     tol = 1e-3
 
     def defect(elements):
-        return np.abs(gram_matrix(elements) - np.eye(u.degree)).max()
+        return np.abs(elements.gram - np.eye(u.degree)).max()
 
-    coarse = _takenaka_windows(u.zeros, tol)[0].rows()
-    fine = _takenaka_windows(u.zeros, tol / 100.0)[0].rows()
+    coarse = _takenaka_windows(u.zeros, tol)[0]
+    fine = _takenaka_windows(u.zeros, tol / 100.0)[0]
     assert defect(fine) < defect(coarse)
     # a limit between the two defects: the first attempt fails, the retry passes
     monkeypatch.setattr(modelspace, "GRAM_DEFECT_LIMIT", np.sqrt(defect(coarse) * defect(fine)))
     _takenaka_windows.cache_clear()
     for _ in range(2):  # the second call finds the rejected windows cached
         basis = tm_basis(u, tol)
-        assert basis.window_width() > max(e.hi for e in coarse)
-        for e, f in zip(basis.basis, fine):
+        assert basis.window_width() > coarse.hi
+        for e, f in zip(basis.basis, fine.rows()):
             assert (e.lo, e.hi) == (f.lo, f.hi)
             assert np.array_equal(e.coeffs, f.coeffs)
     assert _takenaka_windows.cache_info().misses == 2

@@ -98,6 +98,14 @@ def test_hankel_quotient_column_norm():
     assert np.abs(h.entries[:, 1] - alpha * h.entries[:, 0]).max() < 1e-13
 
 
+def test_operator_matrix_wraps_its_entries_without_a_copy():
+    a = np.arange(6.0).reshape(2, 3) + 1j
+    m = OperatorMatrix(a, 1e-3)
+    assert np.shares_memory(m.entries, a)
+    # the view is read-only, the caller's array is left as it was
+    assert not m.entries.flags.writeable and a.flags.writeable
+
+
 def test_dual_toeplitz_identity_and_shift():
     assert np.array_equal(dual_toeplitz_matrix(constant_symbol(1.0), 4).entries, np.eye(4))
     q = dual_toeplitz_matrix(Z, 5)
@@ -473,11 +481,17 @@ def test_galerkin_block_rows_reach_the_laurent_support(u, phi, n):
 # whole-stack assembly against an element-by-element reference
 
 
+def _pairings(fs, gs):
+    """P[j, k] = <f_k, g_j>, one pair of single windows at a time."""
+    return np.array([[window_inner_product(f, g) for f in fs] for g in gs])
+
+
 def _per_element_truncated_toeplitz(basis, phi, tol):
-    """A_phi and its entry error from one product and one pairing per element."""
+    """A_phi and its entry error from one product per element and one
+    pairing per pair of elements."""
     w = _symbol_window_for_basis(phi, basis, tol)
     images = [window_multiply(w, e) for e in basis.basis]
-    a = window_inner_product(images, basis.basis)
+    a = _pairings(images, basis.basis)
     max_tail = max(e.tail_bound for e in basis.basis)
     return a, max(img.tail_bound + img.norm() * max_tail for img in images)
 
@@ -488,7 +502,7 @@ def _per_element_corner_gram(basis, phi, tol):
     ubar_phi = window_multiply(window_conjugate(basis.inner.window(tol)), phi_w)
     t = [project_analytic(window_multiply(ubar_phi, e)) for e in basis.basis]
     h = [project_antianalytic(window_multiply(phi_w, e)) for e in basis.basis]
-    g = window_inner_product(t, t) + window_inner_product(h, h)
+    g = _pairings(t, t) + _pairings(h, h)
     err = max(
         2.0 * (ti.tail_bound * max(ti.norm(), 1.0) + hi.tail_bound * max(hi.norm(), 1.0))
         for ti, hi in zip(t, h)
