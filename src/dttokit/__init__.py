@@ -4,53 +4,33 @@ A numpy-based library for operators attached to finite-dimensional model
 spaces of the Hardy space: certified Laurent-window arithmetic,
 Takenaka-Malmquist bases, dense operator compressions, theorem-backed
 minimum-modulus formulas, and Galerkin consistency sweeps.
+
+The package binds only the entry points: the symbol and report types,
+the symbol constructors, JSON I/O, the minimum-modulus routes, the
+oracles and ``__version__``.  Window arithmetic, the builders,
+``OperatorMatrix`` and the class predicates come from their modules.
 """
 
 from .fourier import (
     BlaschkeProduct,
     BlaschkeQuotient,
     Conjugate,
-    FourierWindow,
     LaurentPoly,
     PiecewiseArcs,
     SumConst,
     SymbolClassError,
     SymbolExpr,
-    blaschke_factor_coeffs,
     blaschke_from_json,
     blaschke_to_json,
     conjugated,
     constant_symbol,
-    constant_value,
-    eval_symbol,
     inner_symbol,
-    is_analytic,
-    is_unimodular,
     shift_symbol,
     symbol_from_json,
     symbol_to_json,
-    symbol_to_window,
-    window_add,
-    window_conjugate,
-    window_inner_product,
-    window_multiply,
 )
-from .modelspace import (
-    ModelBasis,
-    reproducing_kernel,
-    tm_basis,
-)
-from .operators import (
-    OperatorMatrix,
-    compressed_shift,
-    conjugation_action,
-    corner_gram,
-    dual_toeplitz_matrix,
-    dual_truncated_toeplitz,
-    hankel_matrix,
-    toeplitz_matrix,
-    truncated_toeplitz,
-)
+from .modelspace import tm_basis
+from .operators import compressed_shift
 from .minmod import (
     MinModReport,
     galerkin_sweep,
@@ -58,7 +38,6 @@ from .minmod import (
     min_modulus_corner,
     min_modulus_toeplitz_hankel,
     min_modulus_unimodular,
-    reduced_min_modulus,
     sigma_min,
 )
 from .oracle import (

@@ -118,8 +118,11 @@ def dispatch_minmod(
 
 def _write_output(text: str, path: Optional[str]):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"unwritable output: {type(exc).__name__}: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

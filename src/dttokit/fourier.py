@@ -92,6 +92,8 @@ class FourierWindow:
     def coeff_at(self, n: int) -> complex:
         """Coefficient of index ``n`` of one window; zero outside the
         stored block."""
+        if self.coeffs.ndim != 1:
+            raise ValueError("coeff_at takes one window, not a stack")
         j = n - self.offset
         if 0 <= j < len(self.coeffs):
             return complex(self.coeffs[j])
@@ -114,6 +116,8 @@ class FourierWindow:
 
     def eval_at(self, z: complex) -> complex:
         """Sum c_n z^n over the stored block of one window (z != 0 if lo < 0)."""
+        if self.coeffs.ndim != 1:
+            raise ValueError("eval_at takes one window, not a stack")
         n = np.arange(self.lo, self.hi + 1)
         return complex(np.sum(self.coeffs * np.power(complex(z), n)))
 

@@ -20,6 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .fourier import (
     BlaschkeProduct,
     FourierWindow,
+    SymbolClassError,
     SymbolExpr,
     project_analytic,
     project_antianalytic,
@@ -31,6 +32,10 @@ from .fourier import (
     _coeffs_over,
 )
 from .modelspace import ModelBasis
+
+# Largest dual truncated Toeplitz block, in bytes, that _dtto_block
+# allocates; a larger one is refused before anything is allocated.
+_MAX_BLOCK_BYTES = 1 << 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +188,12 @@ def _dtto_block(windows, n: int, m: int) -> OperatorMatrix:
         [ H_{u phi}      S_phi             ]
     """
     phi_w, u_phi, u_phibar = windows
+    nbytes = 16 * (2 * m) * (2 * n)  # complex128 entries
+    if nbytes > _MAX_BLOCK_BYTES:
+        raise SymbolClassError(
+            f"predicted Galerkin block of {nbytes} bytes exceeds {_MAX_BLOCK_BYTES}; "
+            "use smaller truncations"
+        )
     a = np.empty((2 * m, 2 * n), dtype=np.complex128)
     a[:m, :n] = _hankel_view(phi_w, -(n - 1), m, n)[:, ::-1]
     np.conj(_hankel_view(u_phibar, -(m + n - 1), m, n)[::-1, ::-1], out=a[:m, n:])

@@ -155,8 +155,9 @@ def normal_dtto_bounds(phi: SymbolExpr):
     Returns (lower, upper, exact): lower is the distance from 0 to the
     convex hull of the essential range, which is the segment
     [min Re, max Re] + i Im of the range's line; upper is the essential
-    infimum of |phi|; exact is set when the modeled range is convex (a
-    segment or a single point), in which case m(D_phi) = upper.
+    infimum of |phi|; exact is set when the two bounds meet, which they
+    do whenever the modeled range is convex (a segment or a single
+    point), and then m(D_phi) = upper.
 
     Only the sufficient normality form "real-valued symbol plus a complex
     constant" is recognized, under any nesting of conjugations and added
@@ -166,7 +167,7 @@ def normal_dtto_bounds(phi: SymbolExpr):
     re, height = model.points.real, model.points[0].imag
     lower = float(np.hypot(np.clip(0.0, re.min(), re.max()), height))
     upper = lower if model.kind == "segment" else float(np.hypot(re, height).min())
-    exact = upper if model.kind == "segment" or len(model.points) == 1 else None
+    exact = upper if lower == upper else None
     return lower, upper, exact
 
 

@@ -16,9 +16,6 @@ from dttokit import (
     PiecewiseArcs,
     SumConst,
     compressed_shift,
-    corner_gram,
-    dual_toeplitz_matrix,
-    dual_truncated_toeplitz,
     galerkin_sweep,
     inner_symbol,
     min_modulus_corner,
@@ -26,13 +23,18 @@ from dttokit import (
     min_modulus_unimodular,
     normal_dtto_bounds,
     oracle_m_dual_shift,
-    reduced_min_modulus,
     shift_symbol,
     sigma_min,
     tm_basis,
+)
+from dttokit.minmod import reduced_min_modulus
+from dttokit.operators import (
+    OperatorMatrix,
+    corner_gram,
+    dual_toeplitz_matrix,
+    dual_truncated_toeplitz,
     truncated_toeplitz,
 )
-from dttokit.operators import OperatorMatrix
 
 from conftest import random_blaschke, random_quotient
 

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from dttokit import operators
 from dttokit.cli import dispatch_minmod, main
 from dttokit.fourier import (
     BlaschkeProduct,
@@ -69,6 +70,12 @@ def test_minmod_conjugated_step_bounds(capsys):
     assert out["bounds"]["exact"] is None
 
 
+def test_normal_report_is_exact_when_the_bounds_meet():
+    step = PiecewiseArcs(((0.0, np.pi, 3.0), (np.pi, 2 * np.pi, 4.0)))
+    rep = dispatch_minmod(None, step)
+    assert rep["bounds"] == {"lower": 3.0, "upper": 3.0, "exact": 3.0} and rep["value"] == 3.0
+
+
 def test_minmod_constant_symbol(capsys):
     code = main(["minmod", "--symbol", '{"kind": "laurent", "offset": 0, "coeffs": [[0, 1]]}'])
     out = json.loads(capsys.readouterr().out)
@@ -101,6 +108,9 @@ def test_minmod_exit_code_on_malformed_json(capsys, tmp_path):
     err = capsys.readouterr().err
     for name in ("OverflowError", "RecursionError", "IsADirectoryError"):
         assert f"unreadable input: {name}" in err
+    # so is an output path that cannot be written
+    assert main(["minmod", "--inner", U_HALF, "--symbol", PHI_Z, "--out", str(tmp_path)]) == 2
+    assert "input error: unwritable output: IsADirectoryError" in capsys.readouterr().err
     # a non-finite negative-control shift is malformed input, not a failed check
     for shift in ("nan", "inf", "-inf"):
         assert main(["verify", f"--perturb-oracle={shift}"]) == 2
@@ -151,6 +161,15 @@ def test_removed_route_overrides_are_refused(capsys):
             main(argv)
         assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sweep_refuses_a_block_above_the_byte_budget(monkeypatch, capsys):
+    # the n = 64 block would take about 0.4 MB; n = 8 fits
+    monkeypatch.setattr(operators, "_MAX_BLOCK_BYTES", 300_000)
+    argv = ["sweep", "--inner", U_HALF, "--symbol", PHI_Z, "--truncations", "8,64"]
+    assert main(argv) == 3
+    assert "unsupported symbol class: predicted Galerkin block of" in capsys.readouterr().err
+    assert main(argv[:-1] + ["8"]) == 0
 
 
 def test_minmod_requires_inner_for_unimodular(capsys):

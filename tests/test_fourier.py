@@ -6,32 +6,34 @@ from dttokit import (
     BlaschkeProduct,
     BlaschkeQuotient,
     Conjugate,
-    FourierWindow,
     LaurentPoly,
     PiecewiseArcs,
     SumConst,
-    blaschke_factor_coeffs,
     conjugated,
     constant_symbol,
-    eval_symbol,
     shift_symbol,
-    symbol_to_window,
-    window_conjugate,
-    window_inner_product,
-    window_multiply,
 )
 from dttokit.fourier import (
     _DIRECT_PRODUCT_MAX,
     _FFT_TABLE_MAX,
     _MAX_WINDOW_WIDTH,
+    FourierWindow,
     _coeffs_over,
     _fft_length,
     _geometric_powers,
     _takenaka_windows,
+    blaschke_factor_coeffs,
     delta_window,
+    eval_symbol,
     geometric_window,
+    is_analytic,
+    is_unimodular,
     project_analytic,
     project_antianalytic,
+    symbol_to_window,
+    window_conjugate,
+    window_inner_product,
+    window_multiply,
     window_scale,
     window_shift,
     window_sub,
@@ -407,6 +409,17 @@ def test_stack_invariants_and_rows():
             FourierWindow(0, bad_coeffs, bad_tails)
 
 
+def test_single_window_readers_refuse_a_stack():
+    stack = FourierWindow(0, np.eye(2), [0.0, 0.0])
+    with pytest.raises(ValueError, match="eval_at takes one window"):
+        stack.eval_at(0.5)
+    with pytest.raises(ValueError, match="coeff_at takes one window"):
+        stack.coeff_at(0)
+    # each row still answers on its own
+    assert [w.eval_at(0.5) for w in stack.rows()] == [1.0, 0.5]
+    assert [w.coeff_at(0) for w in stack.rows()] == [1.0, 0.0]
+
+
 def test_window_tail_shape_must_match_the_rows():
     for bad_coeffs, bad_tails in (
         (np.ones(4), [0.0]),
@@ -592,8 +605,6 @@ def test_piecewise_validation():
 
 
 def test_structural_predicates():
-    from dttokit import is_analytic, is_unimodular
-
     assert is_unimodular(BlaschkeQuotient(1.0, -1, (0.5,)))
     assert is_unimodular(conjugated(shift_symbol(1)))
     assert is_unimodular(STEP)

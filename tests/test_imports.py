@@ -39,20 +39,14 @@ KNOWN_PRIVATE_IMPORTS = {
 
 # every name dttokit/__init__.py binds
 KNOWN_PUBLIC_NAMES = {
-    "BlaschkeProduct", "BlaschkeQuotient", "Conjugate", "FourierWindow", "LaurentPoly",
-    "MinModReport", "ModelBasis", "OperatorMatrix", "PiecewiseArcs", "SumConst",
-    "SymbolClassError", "SymbolExpr", "__version__",
-    "blaschke_factor_coeffs", "blaschke_from_json", "blaschke_to_json", "compressed_shift",
-    "conjugated", "conjugation_action", "constant_symbol", "constant_value", "corner_gram",
-    "dual_toeplitz_matrix", "dual_truncated_toeplitz", "ess_range", "eval_symbol",
-    "galerkin_sweep", "hankel_matrix", "inner_symbol", "is_analytic", "is_unimodular",
-    "min_modulus_bounds", "min_modulus_corner", "min_modulus_toeplitz_hankel",
-    "min_modulus_unimodular", "normal_dtto_bounds", "oracle_m_compressed_shift",
-    "oracle_m_dual_shift", "oracle_rank_one_spectrum", "reduced_min_modulus",
-    "reproducing_kernel", "shift_symbol", "sigma_min", "symbol_from_json", "symbol_to_json",
-    "symbol_to_window", "tm_basis", "toeplitz_matrix", "truncated_toeplitz",
-    "truncated_toeplitz_norm_hankel", "window_add", "window_conjugate",
-    "window_inner_product", "window_multiply",
+    "BlaschkeProduct", "BlaschkeQuotient", "Conjugate", "LaurentPoly", "MinModReport",
+    "PiecewiseArcs", "SumConst", "SymbolClassError", "SymbolExpr", "__version__",
+    "blaschke_from_json", "blaschke_to_json", "compressed_shift", "conjugated",
+    "constant_symbol", "ess_range", "galerkin_sweep", "inner_symbol", "min_modulus_bounds",
+    "min_modulus_corner", "min_modulus_toeplitz_hankel", "min_modulus_unimodular",
+    "normal_dtto_bounds", "oracle_m_compressed_shift", "oracle_m_dual_shift",
+    "oracle_rank_one_spectrum", "shift_symbol", "sigma_min", "symbol_from_json",
+    "symbol_to_json", "tm_basis", "truncated_toeplitz_norm_hankel",
 }
 
 
@@ -229,3 +223,46 @@ def test_the_binding_scan_sees_imports_assignments_and_definitions():
 def test_the_public_names_are_the_known_ones():
     source = (SRC / "__init__.py").read_text(encoding="utf-8")
     assert bound_names(source) == KNOWN_PUBLIC_NAMES
+
+
+def package_reads(source: str) -> set:
+    """Every name a script reads from the dttokit package: the names it
+    imports ``from dttokit`` and the attributes it reads off ``dk``, the
+    package as the benchmark binds it (also as ``self.dk`` or ``g.dk``)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == PACKAGE:
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            if getattr(base, "id", None) == "dk" or getattr(base, "attr", None) == "dk":
+                names.add(node.attr)
+    return names
+
+
+def test_the_package_read_scan_sees_imports_and_dk_attributes():
+    source = (
+        "import dttokit\n"
+        "from dttokit import cli, tm_basis\n"
+        "from dttokit.fourier import window_add\n"
+        "dk = dttokit\n"
+        "def f(g):\n"
+        "    from dttokit import sigma_min\n"
+        "    return dk.LaurentPoly, g.dk.symbol_to_json, g.other.x, dk.BlaschkeProduct.window\n"
+    )
+    assert package_reads(source) == {
+        "cli", "tm_basis", "sigma_min", "LaurentPoly", "symbol_to_json", "BlaschkeProduct"
+    }
+
+
+def test_the_benchmark_and_the_demos_read_only_public_names():
+    root = SRC.parent.parent
+    submodules = {path.stem for path in SRC.glob("*.py")}
+    for folder in ("perfbench", "demos"):
+        reads = {
+            (path.name, name)
+            for path in sorted((root / folder).glob("*.py"))
+            for name in package_reads(path.read_text(encoding="utf-8"))
+        }
+        assert reads, f"no package reads found under {folder}/"
+        assert {r for r in reads if r[1] not in submodules | KNOWN_PUBLIC_NAMES} == set()

@@ -13,15 +13,12 @@ from dttokit import (
     SymbolClassError,
     compressed_shift,
     constant_symbol,
-    corner_gram,
-    dual_toeplitz_matrix,
     galerkin_sweep,
     inner_symbol,
     min_modulus_bounds,
     min_modulus_corner,
     min_modulus_toeplitz_hankel,
     min_modulus_unimodular,
-    reduced_min_modulus,
     shift_symbol,
     sigma_min,
     tm_basis,
@@ -29,8 +26,8 @@ from dttokit import (
 from dttokit.cli import dispatch_minmod
 from dttokit import fourier
 from dttokit.fourier import _takenaka_windows
-from dttokit.minmod import MinModReport
-from dttokit.operators import OperatorMatrix
+from dttokit.minmod import MinModReport, reduced_min_modulus
+from dttokit.operators import OperatorMatrix, corner_gram, dual_toeplitz_matrix
 from dttokit.oracle import oracle_m_compressed_shift
 
 from conftest import random_blaschke, random_quotient

@@ -5,10 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from dttokit import (
     BlaschkeProduct,
     SymbolClassError,
-    reproducing_kernel,
     tm_basis,
-    window_inner_product,
-    window_multiply,
 )
 from dttokit import modelspace
 from dttokit.fourier import (
@@ -16,10 +13,13 @@ from dttokit.fourier import (
     _takenaka_windows,
     delta_window,
     geometric_window,
+    window_inner_product,
+    window_multiply,
     window_scale,
     window_shift,
     window_sub,
 )
+from dttokit.modelspace import reproducing_kernel
 
 from conftest import random_blaschke
 

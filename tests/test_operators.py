@@ -5,28 +5,21 @@ from hypothesis import example, given, settings, strategies as st
 from dttokit import (
     BlaschkeProduct,
     BlaschkeQuotient,
-    FourierWindow,
     LaurentPoly,
+    SymbolClassError,
     compressed_shift,
-    conjugation_action,
     conjugated,
     constant_symbol,
-    corner_gram,
-    dual_toeplitz_matrix,
-    dual_truncated_toeplitz,
     galerkin_sweep,
-    hankel_matrix,
     inner_symbol,
     shift_symbol,
     tm_basis,
-    toeplitz_matrix,
-    truncated_toeplitz,
-    window_inner_product,
 )
 from dttokit import operators, oracle
 from dttokit.fourier import (
     _DIRECT_PRODUCT_MAX,
     Conjugate,
+    FourierWindow,
     PiecewiseArcs,
     _coeffs_over,
     delta_window,
@@ -36,6 +29,7 @@ from dttokit.fourier import (
     symbol_to_window,
     takenaka_realization,
     window_conjugate,
+    window_inner_product,
     window_multiply,
     window_shift,
     window_sub,
@@ -43,6 +37,13 @@ from dttokit.fourier import (
 from dttokit.operators import (
     OperatorMatrix,
     conjugate_sandwich,
+    conjugation_action,
+    corner_gram,
+    dual_toeplitz_matrix,
+    dual_truncated_toeplitz,
+    hankel_matrix,
+    toeplitz_matrix,
+    truncated_toeplitz,
     _dtto_rectangular,
     _hankel_view,
     _symbol_window_for_basis,
@@ -308,6 +309,19 @@ def test_dtto_block_offdiagonal_vanishes_at_origin_zero():
     n = 16
     d = dual_truncated_toeplitz(BlaschkeProduct(1.0, (0.0, 0.0)), Z, n)
     assert np.abs(d.entries[:n, n:]).max() == 0.0
+
+
+def test_dtto_block_is_refused_above_the_byte_budget(monkeypatch):
+    # a 2n x 2n complex block takes 64 n^2 bytes: n = 16 fits a budget of
+    # exactly that, n = 17 is refused before it is allocated
+    monkeypatch.setattr(operators, "_MAX_BLOCK_BYTES", 64 * 16 * 16)
+    u = BlaschkeProduct(1.0, (0.5,))
+    assert dual_truncated_toeplitz(u, Z, 16).shape == (32, 32)
+    with pytest.raises(SymbolClassError, match=f"block of {64 * 17 * 17} bytes exceeds 16384"):
+        dual_truncated_toeplitz(u, Z, 17)
+    # the sweep's rectangular blocks are taller still
+    with pytest.raises(SymbolClassError, match="predicted Galerkin block"):
+        galerkin_sweep(u, Z, [1, 17])
 
 
 def test_dtto_defect_identity_interior(rng):

@@ -11,7 +11,6 @@ from dttokit import (
     SumConst,
     SymbolClassError,
     constant_symbol,
-    eval_symbol,
     ess_range,
     inner_symbol,
     normal_dtto_bounds,
@@ -19,22 +18,23 @@ from dttokit import (
     oracle_m_dual_shift,
     oracle_rank_one_spectrum,
     shift_symbol,
-    symbol_to_window,
     tm_basis,
-    truncated_toeplitz,
     truncated_toeplitz_norm_hankel,
-    window_add,
-    window_conjugate,
 )
 from dttokit.fourier import (
     _coeffs_over,
     as_blaschke_quotient,
     constant_value,
     delta_window,
+    eval_symbol,
     is_analytic,
     is_unimodular,
+    symbol_to_window,
+    window_add,
+    window_conjugate,
 )
 from dttokit.minmod import sigma_max
+from dttokit.operators import truncated_toeplitz
 from dttokit.oracle import _oracle_for, is_normal_sufficient_form
 
 from conftest import random_blaschke
@@ -135,11 +135,19 @@ def test_hull_distance_containing_origin():
 
 
 def test_hull_distance_polygon_edge():
-    # range {1 + 1j, 2 + 1j, 1.5 + 1j}: the nearest point of the hull is the end 1 + 1j
-    for phi in (_piecewise(1 + 1j, 2 + 1j, 1.5 + 1j), SumConst(_piecewise(0.0, 1.0, 0.5), 1 + 1j)):
+    # the nearest point of the hull is an end of the range's segment, a point
+    # of the range, so the bounds meet and squeeze m(D_phi) to it although
+    # the range is not convex: 1 + 1j of {1 + 1j, 2 + 1j, 1.5 + 1j}, 3 of
+    # {3, 4} and 3 + 1j of {3 + 1j, 4 + 1j}
+    for phi, m in (
+        (_piecewise(1 + 1j, 2 + 1j, 1.5 + 1j), np.sqrt(2)),
+        (SumConst(_piecewise(0.0, 1.0, 0.5), 1 + 1j), np.sqrt(2)),
+        (_piecewise(3.0, 4.0), 3.0),
+        (SumConst(_piecewise(3.0, 4.0), 1j), np.sqrt(10)),
+    ):
         lo, up, exact = normal_dtto_bounds(phi)
-        assert abs(lo - np.sqrt(2)) < 1e-14 and abs(up - np.sqrt(2)) < 1e-14
-        assert exact is None
+        assert abs(lo - m) < 1e-14 and abs(up - m) < 1e-14
+        assert exact == up
 
 
 # ---------------------------------------------------------------------------
