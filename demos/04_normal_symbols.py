@@ -16,18 +16,20 @@ step = PiecewiseArcs(((0.0, np.pi, 1.0), (np.pi, 2 * np.pi, -1.0)))
 print("Step symbol +/-1 shifted by 3i: a two-point essential range")
 model = ess_range(SumConst(step, 3j))
 print(f"  essential range: {sorted(model.points.tolist(), key=lambda p: p.real)}")
-lo, up, exact = normal_dtto_bounds(SumConst(step, 3j))
+lo, up = normal_dtto_bounds(SumConst(step, 3j))
 print(f"  bounds: {lo:.6f} <= m <= {up:.6f}   (exact value not determined)")
 print()
 
 print("Continuous symbol z + zbar + 2i: a segment, hence a convex range")
 model = ess_range(LaurentPoly(-1, [1.0, 2j, 1.0]))
 print(f"  essential range: segment {model.points[0]} .. {model.points[1]}")
-lo, up, exact = normal_dtto_bounds(LaurentPoly(-1, [1.0, 2j, 1.0]))
-print(f"  bounds coincide: m = {exact}")
+lo, up = normal_dtto_bounds(LaurentPoly(-1, [1.0, 2j, 1.0]))
+assert lo == up
+print(f"  bounds coincide: m = {up}")
 print()
 
 print("Real-valued symbols always collapse the sandwich:")
 for coeffs, label in (([1.0, 3.0, 1.0], "z + 3 + zbar"), ([1.0, 0.5, 1.0], "z + 0.5 + zbar")):
-    lo, up, exact = normal_dtto_bounds(LaurentPoly(-1, coeffs))
-    print(f"  {label:<14} -> m = ess inf |phi| = {exact:.6f}")
+    lo, up = normal_dtto_bounds(LaurentPoly(-1, coeffs))
+    assert lo == up
+    print(f"  {label:<14} -> m = ess inf |phi| = {up:.6f}")

@@ -1,7 +1,7 @@
 """Command-line front end: single computations, sweeps, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 unsupported symbol class.
+3 unsupported symbol class or over budget.
 """
 
 import argparse
@@ -10,10 +10,11 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from typing import Optional
 
 from .fourier import (
     BlaschkeProduct,
+    BudgetError,
     SymbolClassError,
     SymbolExpr,
     _check_tol,
@@ -51,12 +52,6 @@ def _load_json_arg(text: str) -> dict:
 # dispatch
 
 
-def _report_dict(rep: MinModReport, quantity: str, oracle: Optional[float]) -> dict:
-    if oracle is not None:
-        rep = replace(rep, oracle_value=oracle)
-    return {**rep.to_dict(), "quantity": quantity}
-
-
 def dispatch_minmod(
     u: Optional[BlaschkeProduct], phi: SymbolExpr, tol: float = DEFAULT_TOL
 ) -> dict:
@@ -66,7 +61,8 @@ def dispatch_minmod(
     finite model-space reduction (cross-checked against the corner-Gram
     route); analytic non-unimodular symbols fall back to the corner
     operator (the reported quantity is then m(B_phi)); symbols of the
-    normal sufficient form get essential-range bounds.
+    normal sufficient form get essential-range bounds.  The closed-form
+    value, where one applies, is attached to the report as its oracle.
     """
     core, added, odd = _fold_wrappers(phi)
     if added == 0 and not odd:
@@ -78,12 +74,9 @@ def dispatch_minmod(
     c = constant_value(phi)
     if c is not None:
         rep = MinModReport(abs(c), "oracle")
-        return _report_dict(rep, "m(D_phi)", oracle)
-
-    if u is None and (is_unimodular(phi) or is_analytic(phi)):
+    elif u is None and (is_unimodular(phi) or is_analytic(phi)):
         raise ValueError("this symbol class needs an inner function")
-
-    if is_unimodular(phi):
+    elif is_unimodular(phi):
         rep = min_modulus_unimodular(u, phi, tol)
         cross = min_modulus_toeplitz_hankel(u, phi, tol)
         # compare on squares: the sqrt amplifies entry noise near zero
@@ -93,23 +86,20 @@ def dispatch_minmod(
             raise RuntimeError(
                 f"dual-route disagreement: {rep.value} vs {cross.value} (gap {gap:.3g})"
             )
-        return _report_dict(rep, "m(D_phi)", oracle)
-
-    if is_analytic(phi):
-        return _report_dict(min_modulus_corner(u, phi, tol), "m(B_phi)", oracle)
-
-    if is_normal_sufficient_form(phi):
-        lower, upper, exact = normal_dtto_bounds(phi)
-        rep = MinModReport(exact if exact is not None else lower, "oracle")
-        d = _report_dict(rep, "m(D_phi)", oracle)
-        d["bounds"] = {"lower": lower, "upper": upper, "exact": exact}
-        return d
-
-    raise SymbolClassError(
-        "no applicable method; supported classes: constant, unimodular "
-        "(Blaschke quotients, conjugates, unimodular piecewise), analytic, "
-        "real-valued plus constant"
-    )
+    elif is_analytic(phi):
+        rep = min_modulus_corner(u, phi, tol)
+    elif is_normal_sufficient_form(phi):
+        lower, upper = normal_dtto_bounds(phi)
+        rep = MinModReport(lower, "oracle" if lower == upper else "bounds", lower=lower, upper=upper)
+    else:
+        raise SymbolClassError(
+            "no applicable method; supported classes: constant, unimodular "
+            "(Blaschke quotients, conjugates, unimodular piecewise), analytic, "
+            "real-valued plus constant"
+        )
+    if oracle is not None:
+        rep = replace(rep, oracle_value=oracle)
+    return rep.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -117,35 +107,15 @@ def dispatch_minmod(
 
 
 def _write_output(text: str, path: Optional[str]):
-    if path:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"unwritable output: {type(exc).__name__}: {exc}") from exc
-    else:
+    text += "\n"
+    if not path:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-
-
-def cmd_minmod(
-    inner: Optional[BlaschkeProduct],
-    symbol: Optional[SymbolExpr],
-    tol: float,
-    fmt: str,
-    output: Optional[str],
-) -> int:
-    if symbol is None:
-        raise ValueError("--symbol is required")
-    report = dispatch_minmod(inner, symbol, tol)
-    if fmt == "csv":
-        keys = ("value", "method", "oracle", "discrepancy", "entry_error")
-        row = ",".join(_fmt(report.get(k)) for k in keys)
-        _write_output(",".join(keys) + "\n" + row + "\n", output)
-    else:
-        _write_output(json.dumps(report, indent=2), output)
-    return 0
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"unwritable output: {type(exc).__name__}: {exc}") from exc
 
 
 def _fmt(v) -> str:
@@ -156,35 +126,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def cmd_sweep(
-    inner: Optional[BlaschkeProduct],
-    symbol: Optional[SymbolExpr],
-    truncations: List[int],
-    tol: float,
-    fmt: str,
-    output: Optional[str],
-) -> int:
-    if symbol is None:
-        raise ValueError("--symbol is required")
-    if inner is None:
-        raise ValueError("--inner is required")
-    if not truncations:
-        raise ValueError("--truncations is required for a sweep")
-    reps = galerkin_sweep(inner, symbol, truncations, tol)
+def cmd_report(result, fmt: str, tol: float, output: Optional[str]) -> int:
+    """Write a ``minmod`` report (a dict) or the ``sweep`` reports (a list):
+    JSON as it is; CSV as a header of the report keys and one row per
+    report, then a comment for each rise of the value by more than 2 tol."""
     if fmt == "json":
-        rows = [{**r.to_dict(), "truncation": r.truncation} for r in reps]
-        _write_output(json.dumps(rows, indent=2), output)
+        _write_output(json.dumps(result, indent=2), output)
         return 0
-    lines = ["N,value,entry_error"]
-    for r in reps:
-        lines.append(f"{r.truncation},{r.value:.12g},{r.entry_error_bound:.12g}")
-    for prev, cur in zip(reps, reps[1:]):
-        if cur.value > prev.value + 2.0 * tol:
+    rows = result if isinstance(result, list) else [result]
+    lines = [",".join(rows[0])] + [",".join(_fmt(v) for v in row.values()) for row in rows]
+    for prev, cur in zip(rows, rows[1:]):
+        if cur["value"] > prev["value"] + 2.0 * tol:
             lines.append(
-                f"# monotonicity violation at N={cur.truncation}: "
-                f"+{cur.value - prev.value:.3g} over N={prev.truncation}"
+                f"# monotonicity violation at N={cur['truncation']}: "
+                f"+{cur['value'] - prev['value']:.3g} over N={prev['truncation']}"
             )
-    _write_output("\n".join(lines) + "\n", output)
+    _write_output("\n".join(lines), output)
     return 0
 
 
@@ -244,9 +201,20 @@ def main(argv=None) -> int:
         _check_tol(args.tol)
         if any(b <= a for a, b in zip(truncs, truncs[1:])):
             raise ValueError("truncations must be strictly increasing")
+        if symbol is None:
+            raise ValueError("--symbol is required")
         if args.command == "minmod":
-            return cmd_minmod(inner, symbol, args.tol, args.format or "json", args.output)
-        return cmd_sweep(inner, symbol, truncs, args.tol, args.format or "csv", args.output)
+            rep = dispatch_minmod(inner, symbol, args.tol)
+            return cmd_report(rep, args.format or "json", args.tol, args.output)
+        if inner is None:
+            raise ValueError("--inner is required")
+        if not truncs:
+            raise ValueError("--truncations is required for a sweep")
+        reps = [r.to_dict() for r in galerkin_sweep(inner, symbol, truncs, args.tol)]
+        return cmd_report(reps, args.format or "csv", args.tol, args.output)
+    except BudgetError as exc:
+        print(f"over budget: {exc}", file=sys.stderr)
+        return 3
     except SymbolClassError as exc:
         print(f"unsupported symbol class: {exc}", file=sys.stderr)
         return 3

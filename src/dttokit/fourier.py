@@ -43,6 +43,10 @@ class SymbolClassError(ValueError):
     """Raised when a symbol falls outside the class an operation supports."""
 
 
+class BudgetError(SymbolClassError):
+    """Raised when a predicted window width or Galerkin block exceeds its budget."""
+
+
 # ---------------------------------------------------------------------------
 # windows
 
@@ -520,7 +524,7 @@ def _takenaka_windows(zeros: tuple, tol: float):
     rows = _row_norms(squares[-1])
     while rows.max() * slack + _power_error(fros, eta, gamma) > budget:
         if 1 << (len(squares) - 1) >= _MAX_WINDOW_WIDTH:
-            raise SymbolClassError(
+            raise BudgetError(
                 f"predicted window width exceeds {_MAX_WINDOW_WIDTH}; "
                 "zeros too close to the unit circle for this tolerance"
             )

@@ -36,19 +36,31 @@ RANK_TOL_DEFAULT = 1e-8
 
 @dataclass(frozen=True)
 class MinModReport:
-    """A computed minimum modulus with its provenance and error data."""
+    """A computed minimum modulus of ``quantity`` with its provenance and
+    error data.  ``lower`` and ``upper`` enclose the value when the route
+    bounds it from both sides; the method is ``bounds`` exactly when they
+    differ, so a one-sided value is never tagged exact."""
 
     value: float
-    method: str  # finite_exact | galerkin_sweep | oracle
+    method: str  # finite_exact | galerkin_sweep | oracle | bounds
     truncation: Optional[int] = None
     entry_error_bound: float = 0.0
     oracle_value: Optional[float] = None
+    quantity: str = "m(D_phi)"
+    lower: Optional[float] = None
+    upper: Optional[float] = None
 
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("minimum modulus cannot be negative")
-        if self.method not in ("finite_exact", "galerkin_sweep", "oracle"):
+        if self.method not in ("finite_exact", "galerkin_sweep", "oracle", "bounds"):
             raise ValueError(f"unknown method tag: {self.method!r}")
+        if (self.lower is None) != (self.upper is None):
+            raise ValueError("lower and upper come as a pair")
+        if self.lower is not None and not self.lower <= self.value <= self.upper:
+            raise ValueError(f"value {self.value} outside [{self.lower}, {self.upper}]")
+        if (self.method == "bounds") != (self.lower is not None and self.lower < self.upper):
+            raise ValueError("the method is 'bounds' exactly when lower < upper")
 
     @property
     def discrepancy(self) -> Optional[float]:
@@ -60,9 +72,13 @@ class MinModReport:
         return {
             "value": self.value,
             "method": self.method,
+            "quantity": self.quantity,
+            "lower": self.lower,
+            "upper": self.upper,
             "oracle": self.oracle_value,
             "discrepancy": self.discrepancy,
             "entry_error": self.entry_error_bound,
+            "truncation": self.truncation,
         }
 
 
@@ -182,11 +198,12 @@ def min_modulus_corner(
         g = corner_gram(basis, phi, tol)
         gram_value = float(np.sqrt(max(0.0, float(np.linalg.eigvalsh(g.entries)[0]))))
         if not unimod:
-            return MinModReport(gram_value, "finite_exact", None, g.sv_perturbation())
+            err = g.sv_perturbation()
+            return MinModReport(gram_value, "finite_exact", None, err, quantity="m(B_phi)")
     a = truncated_toeplitz(basis, phi, tol)
     s = sigma_max(a)
     value = float(np.sqrt(max(0.0, 1.0 - s * s)))
-    return MinModReport(value, "finite_exact", None, a.sv_perturbation(), gram_value)
+    return MinModReport(value, "finite_exact", None, a.sv_perturbation(), gram_value, "m(B_phi)")
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +229,9 @@ def galerkin_sweep(
         raise ValueError("truncations must be >= 1")
     if u.degree < 1:
         raise SymbolClassError("inner function must be nonconstant")
-    reports = []
-    for n in schedule:
-        block = _dtto_rectangular(u, phi, n, tol)
-        reports.append(MinModReport(sigma_min(block), "galerkin_sweep", n, block.sv_perturbation()))
-    return reports
+    # every block is checked against the byte budget before the first SVD
+    blocks = _dtto_rectangular(u, phi, schedule, tol)
+    return [
+        MinModReport(sigma_min(block), "galerkin_sweep", n, block.sv_perturbation())
+        for n, block in zip(schedule, blocks)
+    ]

@@ -19,8 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fourier import (
     BlaschkeProduct,
+    BudgetError,
     FourierWindow,
-    SymbolClassError,
     SymbolExpr,
     project_analytic,
     project_antianalytic,
@@ -36,6 +36,15 @@ from .modelspace import ModelBasis
 # Largest dual truncated Toeplitz block, in bytes, that _dtto_block
 # allocates; a larger one is refused before anything is allocated.
 _MAX_BLOCK_BYTES = 1 << 30
+
+
+def _check_block_bytes(n: int, m: int):
+    nbytes = 16 * (2 * m) * (2 * n)  # complex128 entries
+    if nbytes > _MAX_BLOCK_BYTES:
+        raise BudgetError(
+            f"predicted Galerkin block of {nbytes} bytes exceeds {_MAX_BLOCK_BYTES}; "
+            "use smaller truncations"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +197,7 @@ def _dtto_block(windows, n: int, m: int) -> OperatorMatrix:
         [ H_{u phi}      S_phi             ]
     """
     phi_w, u_phi, u_phibar = windows
-    nbytes = 16 * (2 * m) * (2 * n)  # complex128 entries
-    if nbytes > _MAX_BLOCK_BYTES:
-        raise SymbolClassError(
-            f"predicted Galerkin block of {nbytes} bytes exceeds {_MAX_BLOCK_BYTES}; "
-            "use smaller truncations"
-        )
+    _check_block_bytes(n, m)
     a = np.empty((2 * m, 2 * n), dtype=np.complex128)
     a[:m, :n] = _hankel_view(phi_w, -(n - 1), m, n)[:, ::-1]
     np.conj(_hankel_view(u_phibar, -(m + n - 1), m, n)[::-1, ::-1], out=a[:m, n:])
@@ -217,19 +221,22 @@ def dual_truncated_toeplitz(
     return _dtto_block(_dtto_windows(u, phi, n, tol), n, n)
 
 
-def _dtto_rectangular(
-    u: BlaschkeProduct, phi: SymbolExpr, n: int, tol: float
-) -> OperatorMatrix:
-    """Rectangular block of the dual truncated Toeplitz operator: all 2n
-    input monomials and n + width + 1 output coordinates of each kind.
+def _dtto_rectangular(u: BlaschkeProduct, phi: SymbolExpr, schedule, tol: float):
+    """Rectangular blocks of the dual truncated Toeplitz operator, one per
+    truncation n of the schedule: all 2n input monomials and n + width + 1
+    output coordinates of each kind.  Every block is checked against the
+    byte budget before the returned iterator assembles the first.
 
     The windows are certified to a tail of tol/(2 sqrt(n)) and reach
     max(|lo|, hi) = width; every further output row would be exactly zero,
     so the image of every input basis vector is kept up to a tail <= tol/sqrt(n)."""
-    col_tol = tol / np.sqrt(max(1, n))
-    windows = _dtto_windows(u, phi, n, col_tol / 2.0)
-    width = max(max(abs(w.lo), w.hi) for w in windows)
-    return _dtto_block(windows, n, n + width + 1)
+    plans = []
+    for n in schedule:
+        windows = _dtto_windows(u, phi, n, tol / np.sqrt(max(1, n)) / 2.0)
+        m = n + max(max(abs(w.lo), w.hi) for w in windows) + 1
+        _check_block_bytes(n, m)
+        plans.append((windows, n, m))
+    return (_dtto_block(*plan) for plan in plans)
 
 
 def conjugation_action(n: int) -> OperatorMatrix:

@@ -152,12 +152,11 @@ def ess_range(phi: SymbolExpr) -> EssRangeModel:
 def normal_dtto_bounds(phi: SymbolExpr):
     """Bounds on m(D_phi) for a normal dual truncated Toeplitz operator.
 
-    Returns (lower, upper, exact): lower is the distance from 0 to the
-    convex hull of the essential range, which is the segment
+    Returns (lower, upper): lower is the distance from 0 to the convex
+    hull of the essential range, which is the segment
     [min Re, max Re] + i Im of the range's line; upper is the essential
-    infimum of |phi|; exact is set when the two bounds meet, which they
-    do whenever the modeled range is convex (a segment or a single
-    point), and then m(D_phi) = upper.
+    infimum of |phi|.  The two meet whenever the modeled range is convex
+    (a segment or a single point), and then m(D_phi) = upper.
 
     Only the sufficient normality form "real-valued symbol plus a complex
     constant" is recognized, under any nesting of conjugations and added
@@ -167,8 +166,7 @@ def normal_dtto_bounds(phi: SymbolExpr):
     re, height = model.points.real, model.points[0].imag
     lower = float(np.hypot(np.clip(0.0, re.min(), re.max()), height))
     upper = lower if model.kind == "segment" else float(np.hypot(re, height).min())
-    exact = upper if lower == upper else None
-    return lower, upper, exact
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------

@@ -114,16 +114,16 @@ def test_criterion_5_own_symbol_zero():
 
 
 def test_criterion_6_step_bounds():
-    lo, up, _ = normal_dtto_bounds(SumConst(STEP, 3j))
+    lo, up = normal_dtto_bounds(SumConst(STEP, 3j))
     assert abs(lo - 3.0) <= 1e-12
     assert abs(up - np.sqrt(10.0)) <= 1e-12
     _report(6, "step symbol bounds equal (3, sqrt(10)) to 1e-12")
 
 
 def test_criterion_7_continuous_exact_value():
-    _, _, exact = normal_dtto_bounds(LaurentPoly(-1, [1.0, 2j, 1.0]))
-    assert exact is not None
-    assert abs(exact - 2.0) <= 1e-10
+    lo, up = normal_dtto_bounds(LaurentPoly(-1, [1.0, 2j, 1.0]))
+    assert lo == up
+    assert abs(up - 2.0) <= 1e-10
     _report(7, "continuous symbol gives the exact value 2 to 1e-10")
 
 

@@ -4,8 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from dttokit import operators
-from dttokit.cli import dispatch_minmod, main
+from dttokit import minmod, operators
+from dttokit.cli import _fmt, dispatch_minmod, main
 from dttokit.fourier import (
     BlaschkeProduct,
     BlaschkeQuotient,
@@ -23,6 +23,9 @@ PHI_Z = '{"kind": "laurent", "offset": 1, "coeffs": [[1, 0]]}'
 U_HALF_FIFTH = '{"kind": "blaschke_product", "zeros": [[0.5, 0], [0, 0.2]]}'
 # q = zbar b_0.3, a unimodular quotient with a pole at 0
 Q = '{"kind": "blaschke_quotient", "z_power": -1, "zeros": [[0.3, 0]]}'
+REPORT_KEYS = (
+    "value", "method", "quantity", "lower", "upper", "oracle", "discrepancy", "entry_error", "truncation",
+)
 STEP_3I = (
     '{"kind": "sum", "constant": [0, 3], "left": {"kind": "piecewise", "arcs": ['
     '{"from": 0.0, "to": 3.141592653589793, "value": [1, 0]},'
@@ -39,7 +42,7 @@ def test_minmod_monomial_shift(capsys):
     assert out["discrepancy"] == 0.0
     assert out["method"] == "finite_exact"
     assert out["quantity"] == "m(D_phi)"
-    assert "truncation" not in out
+    assert out["truncation"] is None
 
 
 def test_minmod_dim_one_shift(capsys):
@@ -54,10 +57,9 @@ def test_minmod_step_bounds(capsys):
     code = main(["minmod", "--symbol", STEP_3I])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert abs(out["bounds"]["lower"] - 3.0) < 1e-12
-    assert abs(out["bounds"]["upper"] - np.sqrt(10.0)) < 1e-12
-    assert out["bounds"]["exact"] is None
-    assert out["method"] == "oracle"
+    assert abs(out["lower"] - 3.0) < 1e-12
+    assert abs(out["upper"] - np.sqrt(10.0)) < 1e-12
+    assert out["method"] == "bounds"
 
 
 def test_minmod_conjugated_step_bounds(capsys):
@@ -65,15 +67,15 @@ def test_minmod_conjugated_step_bounds(capsys):
     code = main(["minmod", "--symbol", '{"kind": "conjugate", "of": ' + STEP_3I + "}"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert abs(out["bounds"]["lower"] - 3.0) < 1e-12
-    assert abs(out["bounds"]["upper"] - np.sqrt(10.0)) < 1e-12
-    assert out["bounds"]["exact"] is None
+    assert abs(out["lower"] - 3.0) < 1e-12
+    assert abs(out["upper"] - np.sqrt(10.0)) < 1e-12
+    assert out["method"] == "bounds"
 
 
 def test_normal_report_is_exact_when_the_bounds_meet():
     step = PiecewiseArcs(((0.0, np.pi, 3.0), (np.pi, 2 * np.pi, 4.0)))
     rep = dispatch_minmod(None, step)
-    assert rep["bounds"] == {"lower": 3.0, "upper": 3.0, "exact": 3.0} and rep["value"] == 3.0
+    assert rep["lower"] == rep["upper"] == rep["value"] == 3.0 and rep["method"] == "oracle"
 
 
 def test_minmod_constant_symbol(capsys):
@@ -148,7 +150,7 @@ def test_minmod_refuses_unreachable_window_width(capsys):
         start = time.perf_counter()
         assert main(argv) == 3
         assert time.perf_counter() - start < 1.0
-        assert "predicted window width" in capsys.readouterr().err
+        assert "over budget: predicted window width" in capsys.readouterr().err
 
 
 def test_removed_route_overrides_are_refused(capsys):
@@ -166,10 +168,15 @@ def test_removed_route_overrides_are_refused(capsys):
 def test_sweep_refuses_a_block_above_the_byte_budget(monkeypatch, capsys):
     # the n = 64 block would take about 0.4 MB; n = 8 fits
     monkeypatch.setattr(operators, "_MAX_BLOCK_BYTES", 300_000)
+    factorized = []
+    monkeypatch.setattr(minmod, "sigma_min", lambda block: factorized.append(block) or 0.0)
     argv = ["sweep", "--inner", U_HALF, "--symbol", PHI_Z, "--truncations", "8,64"]
     assert main(argv) == 3
-    assert "unsupported symbol class: predicted Galerkin block of" in capsys.readouterr().err
+    assert "over budget: predicted Galerkin block of" in capsys.readouterr().err
+    # the whole schedule is refused before the first factorization
+    assert factorized == []
     assert main(argv[:-1] + ["8"]) == 0
+    assert len(factorized) == 1
 
 
 def test_minmod_requires_inner_for_unimodular(capsys):
@@ -193,10 +200,11 @@ def test_sweep_csv_format(tmp_path, capsys):
     )
     assert code == 0
     lines = out_path.read_text().strip().splitlines()
-    assert lines[0] == "N,value,entry_error"
-    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
-    assert [int(r[0]) for r in rows] == [4, 8, 16]
-    values = [float(r[1]) for r in rows]
+    assert lines[0] == ",".join(REPORT_KEYS)
+    rows = [dict(zip(REPORT_KEYS, line.split(","))) for line in lines[1:] if not line.startswith("#")]
+    assert [int(r["truncation"]) for r in rows] == [4, 8, 16]
+    assert all(r["method"] == "galerkin_sweep" for r in rows)
+    values = [float(r["value"]) for r in rows]
     assert all(abs(v - 0.5) < 0.02 for v in values)
     # non-increasing within tolerance
     assert all(b <= a + 2e-9 for a, b in zip(values, values[1:]))
@@ -281,14 +289,14 @@ def test_dispatch_folds_a_wrapped_piecewise_symbol_once(monkeypatch):
     monkeypatch.setattr(PiecewiseArcs, "__post_init__", lambda self: built.append(validate(self)))
     rep = dispatch_minmod(None, SumConst(Conjugate(step), 2j))
     assert len(built) == 1
-    assert rep["bounds"]["exact"] is None and rep["value"] == 2.0
+    assert rep["method"] == "bounds" and rep["value"] == 2.0
 
 
 def test_minmod_csv_output(capsys):
     code = main(["minmod", "--inner", U_HALF, "--symbol", PHI_Z, "--format", "csv"])
     out = capsys.readouterr().out.strip().splitlines()
     assert code == 0
-    assert out[0] == "value,method,oracle,discrepancy,entry_error"
+    assert out[0] == ",".join(REPORT_KEYS)
     fields = out[1].split(",")
     assert abs(float(fields[0]) - 0.5) < 1e-9
     assert fields[1] == "finite_exact"
@@ -351,3 +359,31 @@ def test_piecewise_plus_constant_on_the_circle_is_unimodular(capsys):
     assert nested == plain
     # 2^(-1/2) up to roundoff: the last bits move with the basis width
     assert abs(plain["value"] - 0.5**0.5) <= 4 * np.finfo(float).eps
+
+
+# the {2, -1} step: the hull of its range holds 0 and its smallest modulus is 1
+GAPPED_STEP = _arcs("[2, 0]", "[-1, 0]")
+
+
+@pytest.mark.parametrize(
+    "inner, symbol, quantity",
+    [
+        (None, '{"kind": "laurent", "offset": 0, "coeffs": [[0, 2]]}', "m(D_phi)"),
+        (U_HALF, Q, "m(D_phi)"),
+        (U_HALF, '{"kind": "laurent", "offset": 0, "coeffs": [[0.3, 0], [1, 0]]}', "m(B_phi)"),
+        (None, '{"kind": "laurent", "offset": -1, "coeffs": [[1, 0], [3, 0], [1, 0]]}', "m(D_phi)"),
+        (U_HALF, GAPPED_STEP, "m(D_phi)"),
+    ],
+    ids=["constant", "unimodular", "analytic-corner", "normal-bounds-meet", "gapped-step"],
+)
+def test_minmod_csv_and_json_carry_the_same_report(capsys, inner, symbol, quantity):
+    argv = ["minmod", "--symbol", symbol] + (["--inner", inner] if inner else [])
+    assert main(argv + ["--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert header.split(",") == list(rep) == list(REPORT_KEYS)
+    assert row.split(",") == [_fmt(v) for v in rep.values()]
+    assert rep["quantity"] == quantity
+    if symbol == GAPPED_STEP:
+        assert (rep["method"], rep["lower"], rep["upper"], rep["value"]) == ("bounds", 0.0, 1.0, 0.0)

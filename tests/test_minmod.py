@@ -318,9 +318,10 @@ def test_sweep_validates_schedule():
 def test_report_serialization_keys():
     rep = MinModReport(0.5, "finite_exact", 32, 1e-11, 0.5)
     d = rep.to_dict()
-    # the truncation stays on the report; only the sweep output prints it
-    assert set(d) == {"value", "method", "oracle", "discrepancy", "entry_error"}
-    assert rep.truncation == 32
+    assert list(d) == [
+        "value", "method", "quantity", "lower", "upper", "oracle", "discrepancy", "entry_error", "truncation",
+    ]
+    assert d["truncation"] == 32 and d["quantity"] == "m(D_phi)"
     assert d["discrepancy"] == 0.0
     rep2 = MinModReport(0.25, "galerkin_sweep")
     assert rep2.to_dict()["oracle"] is None
@@ -329,6 +330,26 @@ def test_report_serialization_keys():
         MinModReport(-0.1, "oracle")
     with pytest.raises(ValueError):
         MinModReport(0.1, "guesswork")
+
+
+def test_report_refuses_a_value_its_bounds_do_not_support():
+    assert MinModReport(1.0, "bounds", lower=1.0, upper=2.0).to_dict()["upper"] == 2.0
+    assert MinModReport(1.0, "oracle", lower=1.0, upper=1.0).method == "oracle"
+    # a value outside its own enclosure
+    for value in (0.5, 2.5):
+        with pytest.raises(ValueError, match="outside"):
+            MinModReport(value, "bounds", lower=1.0, upper=2.0)
+    # a one-sided value tagged as exact
+    for method in ("oracle", "finite_exact"):
+        with pytest.raises(ValueError, match="'bounds' exactly when"):
+            MinModReport(1.0, method, lower=1.0, upper=2.0)
+    # the bounds tag without bounds, or with bounds that meet
+    with pytest.raises(ValueError, match="'bounds' exactly when"):
+        MinModReport(1.0, "bounds")
+    with pytest.raises(ValueError, match="'bounds' exactly when"):
+        MinModReport(1.0, "bounds", lower=1.0, upper=1.0)
+    with pytest.raises(ValueError, match="pair"):
+        MinModReport(1.0, "oracle", lower=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,8 @@ def test_dtto_follows_its_index_rules_and_is_a_row_slice_of_the_rectangular_bloc
     u = BlaschkeProduct(1.0, (0.0, 0.0))
     d = dual_truncated_toeplitz(u, PHI_NARROW, n).entries
     assert np.array_equal(d, _dtto_expected(PHI_NARROW, 2, n, n))
-    r = _dtto_rectangular(u, PHI_NARROW, n, 1e-9).entries
+    (block,) = _dtto_rectangular(u, PHI_NARROW, [n], 1e-9)
+    r = block.entries
     m = r.shape[0] // 2
     assert r.shape == (2 * m, 2 * n) and m > n
     assert np.array_equal(r, _dtto_expected(PHI_NARROW, 2, n, m))
@@ -487,7 +488,7 @@ def test_galerkin_block_rows_reach_the_laurent_support(u, phi, n):
     w_u = u.window(tol / np.sqrt(n) / 2.0).hi
     # reach of phi, u phi and u conj(phi), the windows that fill the block
     width = max(abs(lo), abs(hi), w_u + hi, w_u - lo)
-    block = _dtto_rectangular(u, phi, n, tol)
+    (block,) = _dtto_rectangular(u, phi, [n], tol)
     assert block.shape == (2 * (n + width + 1), 2 * n)
 
 

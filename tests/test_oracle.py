@@ -117,14 +117,14 @@ def _piecewise(*values):
 
 
 def test_hull_distance_single_point():
-    lo, up, exact = normal_dtto_bounds(constant_symbol(3 + 4j))
-    assert abs(lo - 5.0) < 1e-15 and abs(up - 5.0) < 1e-15 and abs(exact - 5.0) < 1e-15
+    lo, up = normal_dtto_bounds(constant_symbol(3 + 4j))
+    assert lo == up and abs(up - 5.0) < 1e-15
 
 
 def test_hull_distance_symmetric_pair_projection_formula():
     # {-a + c, a + c} with c orthogonal to a: distance is |c|
     for a, c in ((1.0, 3j), (2.0, 1j), (0.5, -2j)):
-        lo, up, _ = normal_dtto_bounds(SumConst(_piecewise(-a, a), c))
+        lo, up = normal_dtto_bounds(SumConst(_piecewise(-a, a), c))
         assert abs(lo - abs(c)) < 1e-14
         assert abs(up - abs(a + c)) < 1e-14
 
@@ -145,9 +145,9 @@ def test_hull_distance_polygon_edge():
         (_piecewise(3.0, 4.0), 3.0),
         (SumConst(_piecewise(3.0, 4.0), 1j), np.sqrt(10)),
     ):
-        lo, up, exact = normal_dtto_bounds(phi)
+        lo, up = normal_dtto_bounds(phi)
         assert abs(lo - m) < 1e-14 and abs(up - m) < 1e-14
-        assert exact == up
+        assert lo == up
 
 
 # ---------------------------------------------------------------------------
@@ -155,33 +155,31 @@ def test_hull_distance_polygon_edge():
 
 
 def test_normal_bounds_step_example():
-    lo, up, exact = normal_dtto_bounds(SumConst(STEP, 3j))
+    lo, up = normal_dtto_bounds(SumConst(STEP, 3j))
     assert abs(lo - 3.0) < 1e-12
     assert abs(up - np.sqrt(10.0)) < 1e-12
-    assert exact is None
 
 
 def test_normal_bounds_continuous_example():
-    lo, up, exact = normal_dtto_bounds(LaurentPoly(-1, [1.0, 2j, 1.0]))
-    assert exact is not None and abs(exact - 2.0) < 1e-10
-    assert abs(lo - 2.0) < 1e-10 and abs(up - 2.0) < 1e-10
+    lo, up = normal_dtto_bounds(LaurentPoly(-1, [1.0, 2j, 1.0]))
+    assert lo == up and abs(up - 2.0) < 1e-10
 
 
 def test_normal_bounds_real_symbol_collapse():
     # strictly positive real symbol: both bounds hit ess inf |phi|
-    lo, up, exact = normal_dtto_bounds(LaurentPoly(-1, [1.0, 3.0, 1.0]))
-    assert abs(lo - 1.0) < 1e-9 and abs(up - 1.0) < 1e-9 and abs(exact - 1.0) < 1e-9
+    lo, up = normal_dtto_bounds(LaurentPoly(-1, [1.0, 3.0, 1.0]))
+    assert lo == up and abs(up - 1.0) < 1e-9
     # sign-changing real symbol: essential infimum of |phi| is zero
-    lo2, up2, exact2 = normal_dtto_bounds(LaurentPoly(-1, [1.0, 0.5, 1.0]))
-    assert lo2 < 1e-9 and up2 < 0.05 and exact2 == up2
+    lo2, up2 = normal_dtto_bounds(LaurentPoly(-1, [1.0, 0.5, 1.0]))
+    assert lo2 < 1e-9 and up2 < 0.05 and lo2 == up2
 
 
 def test_normal_bounds_take_extrema_at_critical_points():
     # 1 + cos(t - pi/512) vanishes between the angles of any 512-point grid
     shift = np.exp(1j * np.pi / 512)
     phi = LaurentPoly(-1, [0.5 * shift, 1.0, 0.5 / shift])
-    lo, up, exact = normal_dtto_bounds(phi)
-    assert exact <= 1e-12 and lo <= 1e-12 and up <= 1e-12
+    lo, up = normal_dtto_bounds(phi)
+    assert lo == up <= 1e-12
     assert abs(ess_range(phi).points[1] - 2.0) < 1e-12
     # 0.1 + 2 cos t + 0.6 cos 2t = 1.2 c^2 + 2c - 0.5 with c = cos t: range [-4/3, 2.7]
     seg = ess_range(LaurentPoly(-2, [0.3, 1.0, 0.1, 1.0, 0.3])).points
@@ -190,7 +188,7 @@ def test_normal_bounds_take_extrema_at_critical_points():
 
 def test_normal_bounds_ordering_random_offsets(rng):
     for beta in (0.3 + 1j, -2 + 0.25j, 1j):
-        lo, up, _ = normal_dtto_bounds(SumConst(STEP, beta))
+        lo, up = normal_dtto_bounds(SumConst(STEP, beta))
         assert lo <= up + 1e-15
 
 
@@ -396,11 +394,11 @@ def test_wrapped_normal_forms_fold_to_the_same_bounds(core, wrappers):
     phi = _wrap(core, wrappers)
     assert is_normal_sufficient_form(phi)
     assert ess_range(phi).kind in ("finite_set", "segment")
-    lo, up, exact = normal_dtto_bounds(phi)
+    lo, up = normal_dtto_bounds(phi)
     assert lo <= up
-    lo2, up2, exact2 = normal_dtto_bounds(_fold_by_hand(core, wrappers))
+    lo2, up2 = normal_dtto_bounds(_fold_by_hand(core, wrappers))
     assert abs(lo - lo2) <= 1e-12 and abs(up - up2) <= 1e-12
-    assert (exact is None) == (exact2 is None)
+    assert (lo == up) == (lo2 == up2)
 
 
 _U_ORACLE = BlaschkeProduct(1.0, (0.5, 0.2j))
@@ -426,7 +424,8 @@ def test_every_structural_predicate_sees_through_the_wrappers(core, wrappers):
 def test_shifted_cosine_is_exact_under_any_nesting(wrappers):
     shift = np.exp(1j * np.pi / 512)
     phi = _wrap(LaurentPoly(-1, [0.5 * shift, 1.0, 0.5 / shift]), wrappers)
-    assert normal_dtto_bounds(phi)[2] <= 1e-12
+    lo, up = normal_dtto_bounds(phi)
+    assert lo == up <= 1e-12
 
 
 @st.composite
