@@ -210,7 +210,11 @@ def main(argv=None) -> int:
             raise ValueError("--inner is required")
         if not truncs:
             raise ValueError("--truncations is required for a sweep")
-        reps = [r.to_dict() for r in galerkin_sweep(inner, symbol, truncs, args.tol)]
+        oracle = _oracle_for(inner, symbol)
+        reps = [
+            replace(r, oracle_value=oracle).to_dict()
+            for r in galerkin_sweep(inner, symbol, truncs, args.tol)
+        ]
         return cmd_report(reps, args.format or "csv", args.tol, args.output)
     except BudgetError as exc:
         print(f"over budget: {exc}", file=sys.stderr)

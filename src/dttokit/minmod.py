@@ -27,8 +27,8 @@ from .operators import (
     OperatorMatrix,
     corner_images,
     corner_gram,
+    dual_truncated_toeplitz,
     truncated_toeplitz,
-    _dtto_rectangular,
 )
 
 RANK_TOL_DEFAULT = 1e-8
@@ -136,7 +136,7 @@ def min_modulus_unimodular(
     """
     _require_unimodular(phi)
     basis = tm_basis(u, tol)
-    a = truncated_toeplitz(basis, conjugated(phi), tol)
+    a = truncated_toeplitz(basis, conjugated(phi))
     return MinModReport(sigma_min(a), "finite_exact", None, a.sv_perturbation())
 
 
@@ -152,7 +152,7 @@ def min_modulus_toeplitz_hankel(
     """
     _require_unimodular(phi)
     basis = tm_basis(u, tol)
-    g = corner_gram(basis, conjugated(phi), tol)
+    g = corner_gram(basis, conjugated(phi))
     lam_max = float(np.linalg.eigvalsh(g.entries)[-1])
     value = float(np.sqrt(max(0.0, 1.0 - lam_max)))
     return MinModReport(value, "finite_exact", None, g.sv_perturbation())
@@ -169,7 +169,7 @@ def min_modulus_bounds(
     """
     _require_unimodular(phi)
     basis = tm_basis(u, tol)
-    t_imgs, h_imgs = corner_images(basis, conjugated(phi), tol)
+    t_imgs, h_imgs = corner_images(basis, conjugated(phi))
     t_sq = float(np.linalg.eigvalsh(t_imgs.gram)[-1])
     h_sq = float(np.linalg.eigvalsh(h_imgs.gram)[-1])
     lower = float(np.sqrt(max(0.0, 1.0 - (t_sq + h_sq))))
@@ -195,12 +195,12 @@ def min_modulus_corner(
     basis = tm_basis(u, tol)
     gram_value = None
     if analytic:
-        g = corner_gram(basis, phi, tol)
+        g = corner_gram(basis, phi)
         gram_value = float(np.sqrt(max(0.0, float(np.linalg.eigvalsh(g.entries)[0]))))
         if not unimod:
             err = g.sv_perturbation()
             return MinModReport(gram_value, "finite_exact", None, err, quantity="m(B_phi)")
-    a = truncated_toeplitz(basis, phi, tol)
+    a = truncated_toeplitz(basis, phi)
     s = sigma_max(a)
     value = float(np.sqrt(max(0.0, 1.0 - s * s)))
     return MinModReport(value, "finite_exact", None, a.sv_perturbation(), gram_value, "m(B_phi)")
@@ -218,19 +218,20 @@ def galerkin_sweep(
 ) -> list:
     """Minimum modulus of rectangular compressions over growing subspaces.
 
-    Each value is (up to tol) an upper bound on m(D_phi) and the sequence
-    is non-increasing within 2 tol.  This is a consistency probe for the
-    theorem-backed routes, not an authoritative computation.
+    For a rational symbol each block keeps every nonzero output row, so
+    each value is (up to tol) an upper bound on m(D_phi) and the sequence
+    is non-increasing within 2 tol.  A piecewise block drops nonzero rows,
+    so its value is not certified as an upper bound.  This is a
+    consistency probe for the theorem-backed routes, not an authoritative
+    computation.
     """
     schedule = [int(n) for n in schedule]
     if not schedule:
         raise ValueError("schedule must be nonempty")
-    if any(n < 1 for n in schedule):
-        raise ValueError("truncations must be >= 1")
     if u.degree < 1:
         raise SymbolClassError("inner function must be nonconstant")
-    # every block is checked against the byte budget before the first SVD
-    blocks = _dtto_rectangular(u, phi, schedule, tol)
+    # every truncation and every block's bytes are checked before the first SVD
+    blocks = dual_truncated_toeplitz(u, phi, schedule, tol)
     return [
         MinModReport(sigma_min(block), "galerkin_sweep", n, block.sv_perturbation())
         for n, block in zip(schedule, blocks)

@@ -29,10 +29,12 @@ GRAM_DEFECT_LIMIT = 1e-10
 @dataclass(frozen=True)
 class ModelBasis:
     """Takenaka-Malmquist basis of a finite-dimensional model space: the
-    elements are the rows of one window stack."""
+    elements are the rows of one window stack, built for the tolerance
+    ``tol`` (the one asked for, before any widening retry)."""
 
     inner: BlaschkeProduct
     elements: FourierWindow
+    tol: float
 
     @property
     def dim(self) -> int:
@@ -68,25 +70,24 @@ def tm_basis(u: BlaschkeProduct, tol: float = 1e-12) -> ModelBasis:
         elements = _takenaka_windows(u.zeros, build_tol)[0]
         defect = np.abs(elements.gram - np.eye(u.degree)).max()
         if defect <= GRAM_DEFECT_LIMIT:
-            return ModelBasis(u, elements)
+            return ModelBasis(u, elements, tol)
         build_tol /= 100.0
     raise RuntimeError("could not reach the Gram orthonormality target; zeros too extreme")
 
 
-def reproducing_kernel(u: BlaschkeProduct, lam: complex, tol: float = 1e-12) -> FourierWindow:
+def reproducing_kernel(basis: ModelBasis, lam: complex) -> FourierWindow:
     """Window of k_lam(z) = (1 - conj(u(lam)) u(z)) / (1 - conj(lam) z).
 
     Read off the basis and u's realization (:func:`takenaka_realization`):
     k_lam = sum_k conj(e_k(lam)) e_k, where e(lam) solves the d x d system
     (I - lam conj(A_z)) x = e(0), and its tail is sum_k |e_k(lam)| tail(e_k).
-    Satisfies <f, k_lam> = f(lam) for every f in the model space.  Rejects
-    constant inner functions with SymbolClassError, as :func:`tm_basis`.
+    Satisfies <f, k_lam> = f(lam) for every f in the model space.
     """
     lam = complex(lam)
     if abs(lam) >= 1.0:
         raise ValueError("kernel point must lie in the open unit disc")
-    elements = tm_basis(u, tol).elements
-    a, e0, _ = takenaka_realization(u.zeros)
-    m = np.eye(u.degree) - lam * np.conj(a).astype(np.complex128)
+    elements = basis.elements
+    a, e0, _ = takenaka_realization(basis.inner.zeros)
+    m = np.eye(basis.dim) - lam * np.conj(a).astype(np.complex128)
     e = np.linalg.solve(m, e0.astype(np.complex128))
     return FourierWindow(0, np.conj(e) @ elements.coeffs, np.abs(e) @ elements.tail_bound)

@@ -33,8 +33,9 @@ from .fourier import (
 )
 from .modelspace import ModelBasis
 
-# Largest dual truncated Toeplitz block, in bytes, that _dtto_block
-# allocates; a larger one is refused before anything is allocated.
+# Largest dual truncated Toeplitz block, in bytes, that
+# dual_truncated_toeplitz plans; a larger one is refused before any block
+# of the schedule is allocated.
 _MAX_BLOCK_BYTES = 1 << 30
 
 
@@ -121,17 +122,18 @@ def dual_toeplitz_matrix(phi: SymbolExpr, size: int, tol: float = 1e-12) -> Oper
 # model-space blocks
 
 
-def _symbol_window_for_basis(phi: SymbolExpr, basis: ModelBasis, tol: float) -> FourierWindow:
-    """Window of phi for products with the basis elements: over [-W - 1, W + 1],
-    W the basis width, if phi is piecewise, else its own certified block."""
+def _symbol_window_for_basis(phi: SymbolExpr, basis: ModelBasis) -> FourierWindow:
+    """Window of phi at the basis tolerance for products with the basis
+    elements: over [-W - 1, W + 1], W the basis width, if phi is piecewise,
+    else its own certified block."""
     wb = basis.window_width()
-    return symbol_to_window(phi, -wb - 1, wb + 1, tol)
+    return symbol_to_window(phi, -wb - 1, wb + 1, basis.tol)
 
 
-def truncated_toeplitz(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -> OperatorMatrix:
+def truncated_toeplitz(basis: ModelBasis, phi: SymbolExpr) -> OperatorMatrix:
     """A_phi on the model space: entry (j, k) = <phi e_k, e_j>, from one
     product of phi with the basis stack and one pairing."""
-    w = _symbol_window_for_basis(phi, basis, tol)
+    w = _symbol_window_for_basis(phi, basis)
     images = window_multiply(w, basis.elements)
     a = window_inner_product(images, basis.elements)
     err = np.max(images.tail_bound + images.norm() * basis.max_tail())
@@ -150,27 +152,27 @@ def compressed_shift(basis: ModelBasis) -> OperatorMatrix:
     return OperatorMatrix(a, np.finfo(float).eps / 2.0 + eta)
 
 
-def corner_images(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12):
+def corner_images(basis: ModelBasis, phi: SymbolExpr):
     """Image stacks (T_{conj(u) phi} e_k, H_phi e_k) of the corner decomposition.
 
     The corner operator P_{K_u^perp} M_phi |_{K_u} splits orthogonally into
     a part landing in u H^2 (carried by T_{conj(u) phi}) and a part landing
     in H^2_- (carried by H_phi).  Row k of each stack is the image of e_k.
     """
-    phi_w = _symbol_window_for_basis(phi, basis, tol)
-    ubar_phi = window_multiply(window_conjugate(basis.inner.window(tol)), phi_w)
+    phi_w = _symbol_window_for_basis(phi, basis)
+    ubar_phi = window_multiply(window_conjugate(basis.inner.window(basis.tol)), phi_w)
     t_imgs = project_analytic(window_multiply(ubar_phi, basis.elements))
     h_imgs = project_antianalytic(window_multiply(phi_w, basis.elements))
     return t_imgs, h_imgs
 
 
-def corner_gram(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -> OperatorMatrix:
+def corner_gram(basis: ModelBasis, phi: SymbolExpr) -> OperatorMatrix:
     """Gram matrix of the corner images; the matrix of B* B on the basis.
 
     For unimodular phi this equals I - A_phi* A_phi, since multiplication
     by phi is an isometry of L^2.
     """
-    t, h = corner_images(basis, phi, tol)
+    t, h = corner_images(basis, phi)
     g = t.gram + h.gram
     err = np.max(
         2.0 * (t.tail_bound * np.maximum(t.norm(), 1.0) + h.tail_bound * np.maximum(h.norm(), 1.0))
@@ -182,22 +184,15 @@ def corner_gram(basis: ModelBasis, phi: SymbolExpr, tol: float = 1e-12) -> Opera
 # dual truncated Toeplitz block
 
 
-def _dtto_windows(u: BlaschkeProduct, phi: SymbolExpr, n: int, tol: float):
-    """Windows of phi, u phi and u conj(phi), whose coefficients fill the blocks."""
-    phi_w = symbol_to_window(phi, -2 * n, 2 * n, tol)
-    uw = u.window(tol)
-    return phi_w, window_multiply(uw, phi_w), window_multiply(uw, window_conjugate(phi_w))
-
-
 def _dtto_block(windows, n: int, m: int) -> OperatorMatrix:
     """The blocks of D_phi on the first n input and m output coordinates of
-    each kind (analytic first):
+    each kind (analytic first), from the windows of phi, u phi and
+    u conj(phi):
 
         [ T_phi          H_{u conj(phi)}^* ]
         [ H_{u phi}      S_phi             ]
     """
     phi_w, u_phi, u_phibar = windows
-    _check_block_bytes(n, m)
     a = np.empty((2 * m, 2 * n), dtype=np.complex128)
     a[:m, :n] = _hankel_view(phi_w, -(n - 1), m, n)[:, ::-1]
     np.conj(_hankel_view(u_phibar, -(m + n - 1), m, n)[::-1, ::-1], out=a[:m, n:])
@@ -206,33 +201,25 @@ def _dtto_block(windows, n: int, m: int) -> OperatorMatrix:
     return OperatorMatrix(a, max(w.tail_bound for w in windows))
 
 
-def dual_truncated_toeplitz(
-    u: BlaschkeProduct, phi: SymbolExpr, n: int, tol: float = 1e-12
-) -> OperatorMatrix:
-    """2n x 2n Galerkin compression of the dual truncated Toeplitz operator.
-
-    Blocks, in the analytic-first ordering:
-
-        [ T_phi          H_{u conj(phi)}^* ]
-        [ H_{u phi}      S_phi             ]
-    """
-    if n < 1:
-        raise ValueError("truncation size must be >= 1")
-    return _dtto_block(_dtto_windows(u, phi, n, tol), n, n)
-
-
-def _dtto_rectangular(u: BlaschkeProduct, phi: SymbolExpr, schedule, tol: float):
-    """Rectangular blocks of the dual truncated Toeplitz operator, one per
+def dual_truncated_toeplitz(u: BlaschkeProduct, phi: SymbolExpr, schedule, tol: float = 1e-12):
+    """Galerkin compressions of the dual truncated Toeplitz operator, one per
     truncation n of the schedule: all 2n input monomials and n + width + 1
     output coordinates of each kind.  Every block is checked against the
     byte budget before the returned iterator assembles the first.
 
-    The windows are certified to a tail of tol/(2 sqrt(n)) and reach
-    max(|lo|, hi) = width; every further output row would be exactly zero,
-    so the image of every input basis vector is kept up to a tail <= tol/sqrt(n)."""
+    The windows of phi, u phi and u conj(phi) are certified to a tail of
+    tol/(2 sqrt(n)) and reach max(|lo|, hi) = width; every further output
+    row would be exactly zero, so the image of every input basis vector is
+    kept up to a tail <= tol/sqrt(n).  Piecewise phi is windowed over
+    [-2n, 2n] only, so its further rows need not vanish."""
     plans = []
     for n in schedule:
-        windows = _dtto_windows(u, phi, n, tol / np.sqrt(max(1, n)) / 2.0)
+        if n < 1:
+            raise ValueError("truncations must be >= 1")
+        t = tol / np.sqrt(n) / 2.0
+        phi_w = symbol_to_window(phi, -2 * n, 2 * n, t)
+        uw = u.window(t)
+        windows = phi_w, window_multiply(uw, phi_w), window_multiply(uw, window_conjugate(phi_w))
         m = n + max(max(abs(w.lo), w.hi) for w in windows) + 1
         _check_block_bytes(n, m)
         plans.append((windows, n, m))

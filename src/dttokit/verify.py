@@ -31,6 +31,7 @@ from .fourier import (
 )
 from .modelspace import reproducing_kernel, tm_basis
 from .operators import (
+    OperatorMatrix,
     compressed_shift,
     conjugation_action,
     conjugate_sandwich,
@@ -100,7 +101,7 @@ def build_catalog() -> List[CatalogItem]:
     b_deg2 = tm_basis(u_deg2)
 
     # -- coefficient layer ----------------------------------------------
-    k0 = reproducing_kernel(u_half, 0.0)
+    k0 = reproducing_kernel(b_half, 0.0)
     add(CatalogItem(
         "kernel-at-zero-norm",
         float(window_inner_product(k0, k0).real),
@@ -225,18 +226,21 @@ def build_catalog() -> List[CatalogItem]:
     ))
 
     n = 24
-    d_half = dual_truncated_toeplitz(u_half, Z, n)
+    (d_half,) = dual_truncated_toeplitz(u_half, Z, [n])
     ur = d_half.entries[:n, n:]
     expect_ur = np.zeros((n, n), dtype=complex)
     expect_ur[0, 0] = np.conj(u_half.at_zero())
     add(CatalogItem("dtto-offdiag-rank-one", float(np.abs(ur - expect_ur).max()), 0.0, 1e-10))
-    d_z2 = dual_truncated_toeplitz(u_z2, Z, n)
+    (d_z2,) = dual_truncated_toeplitz(u_z2, Z, [n])
     add(CatalogItem("dtto-offdiag-vanishes", float(np.abs(d_z2.entries[:n, n:]).max()), 0.0, 1e-14))
 
+    # the square compression: the first n output rows of each kind
+    m = d_half.shape[0] // 2
+    square = OperatorMatrix(np.vstack([d_half.entries[:n], d_half.entries[m : m + n]]))
     c = conjugation_action(n)
     add(CatalogItem(
         "dtto-conjugation-symmetry",
-        float(np.abs(conjugate_sandwich(c, d_half) - d_half.entries.conj().T).max()),
+        float(np.abs(conjugate_sandwich(c, square) - square.entries.conj().T).max()),
         0.0,
         1e-10,
     ))

@@ -220,6 +220,19 @@ def test_sweep_json_format(capsys):
     assert all(r["method"] == "galerkin_sweep" for r in out)
 
 
+def test_sweep_rows_carry_the_closed_form_oracle(capsys):
+    # m(D_z) = |u(0)| = 0.5 for u = b_0.5, the oracle that minmod attaches
+    argv = ["sweep", "--inner", U_HALF, "--symbol", PHI_Z, "--truncations", "4,8"]
+    assert main(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [r["truncation"] for r in rows] == [4, 8]
+    for r in rows:
+        assert r["oracle"] == 0.5 and r["discrepancy"] == abs(r["value"] - 0.5)
+    assert lines[1:] == [",".join(_fmt(v) for v in r.values()) for r in rows]
+
+
 def test_sweep_requires_increasing_truncations(capsys):
     assert main(["sweep", "--inner", U_HALF, "--symbol", PHI_Z, "--truncations", "8,8"]) == 2
     assert main(["sweep", "--inner", U_HALF, "--symbol", PHI_Z]) == 2

@@ -28,7 +28,6 @@ KNOWN_PRIVATE_IMPORTS = {
     ("cli", "fourier", "_check_tol"),
     ("cli", "fourier", "_fold_wrappers"),
     ("cli", "oracle", "_oracle_for"),
-    ("minmod", "operators", "_dtto_rectangular"),
     ("modelspace", "fourier", "_check_tol"),
     ("modelspace", "fourier", "_takenaka_windows"),
     ("operators", "fourier", "_coeffs_over"),

@@ -86,7 +86,7 @@ def test_repeated_zeros_supported():
 
 
 def test_kernel_at_origin_monomial_case():
-    k = reproducing_kernel(BlaschkeProduct(1.0, (0.0, 0.0)), 0.0)
+    k = reproducing_kernel(tm_basis(BlaschkeProduct(1.0, (0.0, 0.0))), 0.0)
     # u(0) = 0 so the kernel collapses to the constant 1
     assert abs(k.coeff_at(0) - 1.0) < 1e-14
     assert all(abs(k.coeff_at(n)) < 1e-14 for n in range(1, 5))
@@ -94,26 +94,28 @@ def test_kernel_at_origin_monomial_case():
 
 def test_kernel_norm_single_zero():
     u = BlaschkeProduct(1.0, (0.5,))
-    k0 = reproducing_kernel(u, 0.0)
+    k0 = reproducing_kernel(tm_basis(u), 0.0)
     assert abs(window_inner_product(k0, k0) - 0.75) < 1e-12
 
 
 def test_kernel_reproduces_coordinates():
     u = BlaschkeProduct(1.0, (0.0, 0.0))
-    k = reproducing_kernel(u, 0.3)
+    k = reproducing_kernel(tm_basis(u), 0.3)
     # <z, k_0.3> = 0.3
     assert abs(window_inner_product(delta_window(1), k) - 0.3) < 1e-13
 
 
 def test_kernel_rejects_points_outside_disc():
     with pytest.raises(ValueError):
-        reproducing_kernel(BlaschkeProduct(1.0, (0.5,)), 1.0)
+        reproducing_kernel(tm_basis(BlaschkeProduct(1.0, (0.5,))), 1.0)
+    # the kernel reads its basis, and the basis refuses what the kernel
+    # once refused: a tolerance that is not finite and a constant u, whose
+    # model space is trivial, as on every other route
     for tol in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
-            reproducing_kernel(BlaschkeProduct(1.0, (0.5,)), 0.3, tol)
-    # a constant u has the trivial model space, as on every other route
+            reproducing_kernel(tm_basis(BlaschkeProduct(1.0, (0.5,)), tol), 0.3)
     with pytest.raises(SymbolClassError, match="nonconstant"):
-        reproducing_kernel(BlaschkeProduct(1j, ()), 0.3)
+        reproducing_kernel(tm_basis(BlaschkeProduct(1j, ())), 0.3)
 
 
 def _polar(r, t):
@@ -137,7 +139,7 @@ def _kernel_inners(draw):
 @example(u=BlaschkeProduct(-1.0, (0.95, 0.95j, 0.95)), lam=_polar(0.95, 0.3))
 def test_kernel_matches_the_closed_form_within_both_tails(u, lam):
     tol = 1e-9
-    k = reproducing_kernel(u, lam, tol)
+    k = reproducing_kernel(tm_basis(u, tol), lam)
     # reference: (1 - conj(u(lam)) u) / (1 - conj(lam) z), the geometric
     # factor cut far enough out that its own tail is negligible
     uw = u.window(1e-12)
@@ -155,7 +157,7 @@ def test_reproducing_property_random(rng):
         basis = tm_basis(u)
         for _ in range(10):
             lam = rng.uniform(0, 0.8) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            k = reproducing_kernel(u, lam)
+            k = reproducing_kernel(basis, lam)
             coords = rng.standard_normal(u.degree) + 1j * rng.standard_normal(u.degree)
             # <f, k> for f = sum coords[j] e_j, term by term
             f_paired = coords @ window_inner_product(basis.elements, k)
@@ -169,7 +171,7 @@ def test_kernel_coordinates_match_evaluations(rng):
     u = random_blaschke(rng, max_degree=3, max_modulus=0.7)
     basis = tm_basis(u)
     lam = 0.25 + 0.1j
-    k = reproducing_kernel(u, lam)
+    k = reproducing_kernel(basis, lam)
     coords = window_inner_product(k, basis.elements)
     expected = np.array([np.conj(e.eval_at(lam)) for e in basis.basis])
     assert np.abs(coords - expected).max() < 1e-10
@@ -208,7 +210,8 @@ def test_widening_retry_returns_wider_windows_never_the_rejected_ones(monkeypatc
     _takenaka_windows.cache_clear()
     for _ in range(2):  # the second call finds the rejected windows cached
         basis = tm_basis(u, tol)
-        assert basis.window_width() > coarse.hi
+        # the basis keeps the tolerance it was asked for, not the retry's
+        assert basis.tol == tol and basis.window_width() > coarse.hi
         for e, f in zip(basis.basis, fine.rows()):
             assert (e.lo, e.hi) == (f.lo, f.hi)
             assert np.array_equal(e.coeffs, f.coeffs)

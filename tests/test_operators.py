@@ -44,7 +44,6 @@ from dttokit.operators import (
     hankel_matrix,
     toeplitz_matrix,
     truncated_toeplitz,
-    _dtto_rectangular,
     _hankel_view,
     _symbol_window_for_basis,
 )
@@ -164,12 +163,16 @@ def _dtto_expected(phi: LaurentPoly, power: int, n: int, m: int) -> np.ndarray:
     return a
 
 
+def _square(block: OperatorMatrix, n: int) -> np.ndarray:
+    """The 2n x 2n compression: the first n output rows of each kind."""
+    m = block.shape[0] // 2
+    return np.vstack([block.entries[:n], block.entries[m : m + n]])
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_dtto_follows_its_index_rules_and_is_a_row_slice_of_the_rectangular_block(n):
     u = BlaschkeProduct(1.0, (0.0, 0.0))
-    d = dual_truncated_toeplitz(u, PHI_NARROW, n).entries
-    assert np.array_equal(d, _dtto_expected(PHI_NARROW, 2, n, n))
-    (block,) = _dtto_rectangular(u, PHI_NARROW, [n], 1e-9)
+    (block,) = dual_truncated_toeplitz(u, PHI_NARROW, [n], 1e-9)
     r = block.entries
     m = r.shape[0] // 2
     assert r.shape == (2 * m, 2 * n) and m > n
@@ -177,7 +180,7 @@ def test_dtto_follows_its_index_rules_and_is_a_row_slice_of_the_rectangular_bloc
     # the output rows reach every nonzero entry: further rows would be zero
     wider = _dtto_expected(PHI_NARROW, 2, n, m + 4)
     assert not wider[m : m + 4].any() and not wider[2 * m + 4 :].any()
-    assert np.array_equal(d, np.vstack([r[:n], r[m : m + n]]))
+    assert np.array_equal(_square(block, n), _dtto_expected(PHI_NARROW, 2, n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -290,56 +293,65 @@ def test_corner_gram_shift_on_monomial_space():
 
 def test_dtto_block_identity_symbol():
     u = BlaschkeProduct(1.0, (0.5,))
-    d = dual_truncated_toeplitz(u, constant_symbol(1.0), 5)
-    assert np.abs(d.entries - np.eye(10)).max() < 1e-14
+    (d,) = dual_truncated_toeplitz(u, constant_symbol(1.0), [5])
+    m = d.shape[0] // 2
+    expected = np.zeros((2 * m, 10))
+    expected[:5, :5] = expected[m : m + 5, 5:] = np.eye(5)
+    assert np.abs(d.entries - expected).max() < 1e-14
 
 
 def test_dtto_block_offdiagonal_rank_one():
     n = 16
     u = BlaschkeProduct(1.0, (0.5,))
-    d = dual_truncated_toeplitz(u, Z, n)
-    ur = d.entries[:n, n:]
-    expected = np.zeros((n, n), dtype=complex)
+    (d,) = dual_truncated_toeplitz(u, Z, [n])
+    m = d.shape[0] // 2
+    # every row of the upper-right block: conj(u(0)) at the corner, else 0
+    ur = d.entries[:m, n:]
+    expected = np.zeros((m, n), dtype=complex)
     expected[0, 0] = np.conj(u.at_zero())
     assert np.abs(ur - expected).max() < 1e-12
     # lower-left block vanishes for the shift symbol
-    assert np.abs(d.entries[n:, :n]).max() < 1e-12
+    assert np.abs(d.entries[m:, :n]).max() < 1e-12
 
 
 def test_dtto_block_offdiagonal_vanishes_at_origin_zero():
     n = 16
-    d = dual_truncated_toeplitz(BlaschkeProduct(1.0, (0.0, 0.0)), Z, n)
-    assert np.abs(d.entries[:n, n:]).max() == 0.0
+    (d,) = dual_truncated_toeplitz(BlaschkeProduct(1.0, (0.0, 0.0)), Z, [n])
+    assert np.abs(d.entries[: d.shape[0] // 2, n:]).max() == 0.0
 
 
 def test_dtto_block_is_refused_above_the_byte_budget(monkeypatch):
-    # a 2n x 2n complex block takes 64 n^2 bytes: n = 16 fits a budget of
-    # exactly that, n = 17 is refused before it is allocated
-    monkeypatch.setattr(operators, "_MAX_BLOCK_BYTES", 64 * 16 * 16)
+    # a block of 2m x 2n complex entries takes 64 m n bytes, with
+    # m = n + width + 1 output rows of each kind
     u = BlaschkeProduct(1.0, (0.5,))
-    assert dual_truncated_toeplitz(u, Z, 16).shape == (32, 32)
-    with pytest.raises(SymbolClassError, match=f"block of {64 * 17 * 17} bytes exceeds 16384"):
-        dual_truncated_toeplitz(u, Z, 17)
-    # the sweep's rectangular blocks are taller still
-    with pytest.raises(SymbolClassError, match="predicted Galerkin block"):
-        galerkin_sweep(u, Z, [1, 17])
+    m16, m17 = (d.shape[0] // 2 for d in dual_truncated_toeplitz(u, Z, [16, 17]))
+    assert m16 > 16 and m17 > 17
+    # a budget of exactly the n = 16 block admits it and refuses n = 17
+    # before any block of the schedule is allocated
+    budget = 64 * m16 * 16
+    monkeypatch.setattr(operators, "_MAX_BLOCK_BYTES", budget)
+    assert next(dual_truncated_toeplitz(u, Z, [16])).shape == (2 * m16, 32)
+    with pytest.raises(SymbolClassError, match=f"block of {64 * m17 * 17} bytes exceeds {budget}"):
+        dual_truncated_toeplitz(u, Z, [1, 17])
+    # the sweep refuses through the same plan
+    with pytest.raises(SymbolClassError, match=f"block of {64 * m17 * 17} bytes"):
+        galerkin_sweep(u, Z, [1, 17], 1e-12)
 
 
-def test_dtto_defect_identity_interior(rng):
-    # D* D = I - (1 - |u(0)|^2) zbar (x) zbar away from the truncation edge
+def test_dtto_defect_identity_on_every_column(rng):
+    # D* D = I - (1 - |u(0)|^2) zbar (x) zbar: the block keeps every
+    # nonzero output row, so the identity holds up to the truncation edge
     n = 32
     for u in (
         BlaschkeProduct(1.0, (0.0, 0.0)),
         BlaschkeProduct(1.0, (0.5,)),
         random_blaschke(rng, max_degree=3, max_modulus=0.8),
     ):
-        d = dual_truncated_toeplitz(u, Z, n)
+        (d,) = dual_truncated_toeplitz(u, Z, [n])
         lhs = d.adjoint().entries @ d.entries
         rhs = np.eye(2 * n, dtype=complex)
         rhs[n, n] -= 1.0 - abs(u.at_zero()) ** 2
-        interior = [j for j in range(2 * n) if j != n - 1 and j != 2 * n - 1]
-        resid = np.abs((lhs - rhs)[np.ix_(interior, interior)]).max()
-        assert resid < 1e-9
+        assert np.abs(lhs - rhs).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +379,8 @@ def test_conjugation_intertwines_block_with_adjoint(rng):
     for _ in range(3):
         u = random_blaschke(rng, max_degree=3, max_modulus=0.8)
         phi = random_quotient(rng, max_degree=2, z_power_range=(-1, 1))
-        d = dual_truncated_toeplitz(u, phi, n, tol=1e-12)
+        (block,) = dual_truncated_toeplitz(u, phi, [n])
+        d = OperatorMatrix(_square(block, n))
         c = conjugation_action(n)
         resid = np.abs(conjugate_sandwich(c, d) - d.entries.conj().T).max()
         assert resid < 1e-10
@@ -448,7 +461,7 @@ def test_trimmed_symbol_windows_give_the_padded_results(u, phi, n):
     tol = 1e-9
     basis = tm_basis(u, tol)
     for build in (truncated_toeplitz, corner_gram):
-        trimmed, padded = build(basis, phi, tol), _padded(build, basis, phi, tol)
+        trimmed, padded = build(basis, phi), _padded(build, basis, phi)
         scale = max(1.0, np.abs(padded.entries).max())
         assert np.abs(trimmed.entries - padded.entries).max() <= 1e-13 * scale
         # the bound reads l2 norms of computed images, which the direct and
@@ -488,7 +501,7 @@ def test_galerkin_block_rows_reach_the_laurent_support(u, phi, n):
     w_u = u.window(tol / np.sqrt(n) / 2.0).hi
     # reach of phi, u phi and u conj(phi), the windows that fill the block
     width = max(abs(lo), abs(hi), w_u + hi, w_u - lo)
-    (block,) = _dtto_rectangular(u, phi, [n], tol)
+    (block,) = dual_truncated_toeplitz(u, phi, [n], tol)
     assert block.shape == (2 * (n + width + 1), 2 * n)
 
 
@@ -501,20 +514,20 @@ def _pairings(fs, gs):
     return np.array([[window_inner_product(f, g) for f in fs] for g in gs])
 
 
-def _per_element_truncated_toeplitz(basis, phi, tol):
+def _per_element_truncated_toeplitz(basis, phi):
     """A_phi and its entry error from one product per element and one
     pairing per pair of elements."""
-    w = _symbol_window_for_basis(phi, basis, tol)
+    w = _symbol_window_for_basis(phi, basis)
     images = [window_multiply(w, e) for e in basis.basis]
     a = _pairings(images, basis.basis)
     max_tail = max(e.tail_bound for e in basis.basis)
     return a, max(img.tail_bound + img.norm() * max_tail for img in images)
 
 
-def _per_element_corner_gram(basis, phi, tol):
+def _per_element_corner_gram(basis, phi):
     """The corner Gram and its entry error from per-element images."""
-    phi_w = _symbol_window_for_basis(phi, basis, tol)
-    ubar_phi = window_multiply(window_conjugate(basis.inner.window(tol)), phi_w)
+    phi_w = _symbol_window_for_basis(phi, basis)
+    ubar_phi = window_multiply(window_conjugate(basis.inner.window(basis.tol)), phi_w)
     t = [project_analytic(window_multiply(ubar_phi, e)) for e in basis.basis]
     h = [project_antianalytic(window_multiply(phi_w, e)) for e in basis.basis]
     g = _pairings(t, t) + _pairings(h, h)
@@ -582,8 +595,8 @@ def test_stacked_assembly_matches_the_per_element_reference(u, phi):
         (truncated_toeplitz, _per_element_truncated_toeplitz),
         (corner_gram, _per_element_corner_gram),
     ):
-        stacked = build(basis, phi, tol)
-        ref, ref_err = reference(basis, phi, tol)
+        stacked = build(basis, phi)
+        ref, ref_err = reference(basis, phi)
         scale = max(1.0, np.abs(ref).max())
         assert np.abs(stacked.entries - ref).max() <= 1e-13 * scale
         # the bound reads l2 norms of computed images: sums over rows padded
@@ -598,7 +611,7 @@ def test_the_reference_examples_reach_both_product_paths():
     assert tm_basis(u, tol).window_width() <= _DIRECT_PRODUCT_MAX
     u, phi = _LONG_CASE
     long = tm_basis(u, tol)
-    phi_w = _symbol_window_for_basis(phi, long, tol)
+    phi_w = _symbol_window_for_basis(phi, long)
     assert min(long.window_width(), len(phi_w.coeffs)) > _DIRECT_PRODUCT_MAX
 
 
