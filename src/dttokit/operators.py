@@ -21,6 +21,7 @@ from .fourier import (
     BlaschkeProduct,
     BudgetError,
     FourierWindow,
+    SymbolClassError,
     SymbolExpr,
     project_analytic,
     project_antianalytic,
@@ -140,15 +141,17 @@ def truncated_toeplitz(basis: ModelBasis, phi: SymbolExpr) -> OperatorMatrix:
     return OperatorMatrix(a, err)
 
 
-def compressed_shift(basis: ModelBasis) -> OperatorMatrix:
-    """The compressed shift A_z; satisfies I - A* A = (S* u)(S* u)^*.
+def compressed_shift(u: BlaschkeProduct) -> OperatorMatrix:
+    """The compressed shift A_z on K_u; satisfies I - A* A = (S* u)(S* u)^*.
 
     Read off the realization of u's zeros, so no window is built.  Every
     entry has modulus at most 1, so entry_error = eps/2 + eta bounds its
     roundoff: one rounding to double after the realization's own
-    relative error eta.
+    relative error eta.  A constant u (degree 0) raises SymbolClassError.
     """
-    a, _, eta = takenaka_realization(basis.inner.zeros)
+    if u.degree < 1:
+        raise SymbolClassError("inner function must be nonconstant")
+    a, _, eta = takenaka_realization(u.zeros)
     return OperatorMatrix(a, np.finfo(float).eps / 2.0 + eta)
 
 
@@ -216,6 +219,7 @@ def dual_truncated_toeplitz(u: BlaschkeProduct, phi: SymbolExpr, schedule, tol: 
     for n in schedule:
         if n < 1:
             raise ValueError("truncations must be >= 1")
+        _check_block_bytes(n, n + 1)  # every block has at least n + 1 rows of each kind
         t = tol / np.sqrt(n) / 2.0
         phi_w = symbol_to_window(phi, -2 * n, 2 * n, t)
         uw = u.window(t)

@@ -176,7 +176,7 @@ def build_catalog() -> List[CatalogItem]:
         1e-10,
     ))
 
-    s_z2 = compressed_shift(b_z2)
+    s_z2 = compressed_shift(u_z2)
     defect = np.eye(2) - s_z2.adjoint().entries @ s_z2.entries
     uw = u_z2.window(1e-13)
     s_star_u = window_shift(window_sub(uw, delta_window(0, u_z2.at_zero())), -1)
@@ -188,7 +188,7 @@ def build_catalog() -> List[CatalogItem]:
         1e-12,
     ))
 
-    a2 = compressed_shift(b_deg2)
+    a2 = compressed_shift(u_deg2)
     eig = np.sort(np.linalg.eigvalsh(a2.adjoint().entries @ a2.entries))
     expected = sorted(
         v.real for v in oracle_rank_one_spectrum(1.0, -1.0, 1.0 - abs(u_deg2.at_zero()) ** 2)
@@ -296,15 +296,21 @@ def build_catalog() -> List[CatalogItem]:
     sweep1 = galerkin_sweep(u_half, Z, [16, 64])
     add(CatalogItem("sweep-dual-shift-dim-one", sweep1[-1].value, oracle_m_dual_shift(u_half), 0.02))
 
-    a3 = compressed_shift(tm_basis(u_deg3))
+    a3 = compressed_shift(u_deg3)
     target = oracle_m_compressed_shift(u_deg3)
     add(CatalogItem("adjoint-minmod-compressed-shift", sigma_min(a3), target, 1e-9))
     add(CatalogItem("adjoint-minmod-compressed-shift-star", sigma_min(a3.adjoint()), target, 1e-9))
+    # zeros this close to the circle are refused by every window route
+    u_near = BlaschkeProduct(1.0, (0.999999, 0.3))
+    a_near = compressed_shift(u_near)
+    target = oracle_m_compressed_shift(u_near)
+    add(CatalogItem("compressed-shift-near-circle", sigma_min(a_near), target, 1e-12))
+    add(CatalogItem("compressed-shift-star-near-circle", sigma_min(a_near.adjoint()), target, 1e-12))
 
     # -- oracles ------------------------------------------------------------
     add(CatalogItem(
         "oracle-compressed-shift-formula",
-        sigma_min(compressed_shift(b_half)),
+        sigma_min(compressed_shift(u_half)),
         oracle_m_compressed_shift(u_half),
         1e-10,
     ))

@@ -1,5 +1,10 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +182,28 @@ def test_sweep_refuses_a_block_above_the_byte_budget(monkeypatch, capsys):
     assert factorized == []
     assert main(argv[:-1] + ["8"]) == 0
     assert len(factorized) == 1
+
+
+def test_hostile_sweep_is_refused_before_any_window_under_an_address_space_cap():
+    # n = 1e8 would window the step over [-2n, 2n], about 6 GB, before the
+    # exact block check; the early check refuses it within the 2 GiB cap
+    step = (
+        '{"kind": "piecewise", "arcs": ['
+        '{"from": 0.0, "to": 3.141592653589793, "value": [1, 0]},'
+        '{"from": 3.141592653589793, "to": 6.283185307179586, "value": [-1, 0]}]}'
+    )
+    argv = ["sweep", "--inner", U_HALF, "--symbol", step, "--truncations", "100000000"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "dttokit", *argv], env=env, preexec_fn=cap,
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "over budget:" in proc.stderr
 
 
 def test_minmod_requires_inner_for_unimodular(capsys):

@@ -13,11 +13,13 @@ from dttokit import (
     galerkin_sweep,
     inner_symbol,
     shift_symbol,
+    sigma_min,
     tm_basis,
 )
 from dttokit import operators, oracle
 from dttokit.fourier import (
     _DIRECT_PRODUCT_MAX,
+    BudgetError,
     Conjugate,
     FourierWindow,
     PiecewiseArcs,
@@ -209,7 +211,7 @@ def test_truncated_toeplitz_vanishes_on_own_symbol(rng):
 def test_compressed_shift_is_truncated_toeplitz_with_shift_symbol(rng):
     u = random_blaschke(rng, max_degree=4, max_modulus=0.8)
     basis = tm_basis(u)
-    assert np.abs(compressed_shift(basis).entries - truncated_toeplitz(basis, Z).entries).max() < 1e-13
+    assert np.abs(compressed_shift(u).entries - truncated_toeplitz(basis, Z).entries).max() < 1e-13
 
 
 def test_compressed_shift_defect_identity(rng):
@@ -217,7 +219,7 @@ def test_compressed_shift_defect_identity(rng):
     for degree in (1, 2, 4):
         u = random_blaschke(rng, max_modulus=0.8, degree=degree)
         basis = tm_basis(u)
-        a = compressed_shift(basis)
+        a = compressed_shift(u)
         defect = np.eye(degree) - a.adjoint().entries @ a.entries
         uw = u.window(1e-13)
         s_star_u = window_shift(window_sub(uw, delta_window(0, u.at_zero())), -1)
@@ -228,7 +230,7 @@ def test_compressed_shift_defect_identity(rng):
 
 def test_compressed_shift_defect_spectrum_degree_two():
     u = BlaschkeProduct(1.0, (0.3, 0.6))
-    a = compressed_shift(tm_basis(u))
+    a = compressed_shift(u)
     eig = np.sort(np.linalg.eigvalsh(a.adjoint().entries @ a.entries))
     expected = sorted(
         v.real for v in oracle_rank_one_spectrum(1.0, -1.0, 1.0 - abs(u.at_zero()) ** 2)
@@ -649,8 +651,9 @@ def _product_formula(zeros, z):
 @example(zeros=(0.99, 0.99, 0j, -0.99j, 0.99))
 def test_realization_matches_the_window_route_and_the_product_formula(zeros):
     a, e0, _ = takenaka_realization(zeros)
-    basis = tm_basis(BlaschkeProduct(1.0, zeros))
-    shift = compressed_shift(basis)
+    u = BlaschkeProduct(1.0, zeros)
+    basis = tm_basis(u)
+    shift = compressed_shift(u)
     assert np.array_equal(shift.entries, a.astype(complex))
     windowed = truncated_toeplitz(basis, Z)
     assert np.abs(shift.entries - windowed.entries).max() <= shift.entry_error + windowed.entry_error
@@ -663,11 +666,21 @@ def test_realization_matches_the_window_route_and_the_product_formula(zeros):
 
 
 def test_compressed_shift_reads_the_realization_and_builds_no_window(monkeypatch):
-    basis = tm_basis(BlaschkeProduct(1.0, (0.5, 0.0, -0.3j, 0.5)))
-
     def no_window(self):
         raise AssertionError("compressed_shift built a window")
 
     monkeypatch.setattr(FourierWindow, "__post_init__", no_window)
     # a stated roundoff bound, not 0
-    assert 0.0 < compressed_shift(basis).entry_error <= 1e-15
+    assert 0.0 < compressed_shift(BlaschkeProduct(1.0, (0.5, 0.0, -0.3j, 0.5))).entry_error <= 1e-15
+
+
+def test_compressed_shift_answers_zeros_the_window_basis_refuses():
+    u = BlaschkeProduct(1.0, (0.999999, 0.3))
+    with pytest.raises(BudgetError):
+        tm_basis(u)
+    assert abs(sigma_min(compressed_shift(u)) - abs(u.at_zero())) <= 1e-12
+
+
+def test_compressed_shift_refuses_a_constant_inner_function():
+    with pytest.raises(SymbolClassError, match="nonconstant"):
+        compressed_shift(BlaschkeProduct(1j))
