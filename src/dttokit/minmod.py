@@ -218,9 +218,11 @@ def galerkin_sweep(
 ) -> list:
     """Minimum modulus of rectangular compressions over growing subspaces.
 
-    For a rational symbol each block keeps every nonzero output row, so
-    each value is (up to tol) an upper bound on m(D_phi) and the sequence
-    is non-increasing within 2 tol.  A piecewise block drops nonzero rows,
+    Each block is the 2n x 2n square compression plus the output rows
+    phi's window reaches past it, so its size does not depend on u.  For
+    a rational symbol those are every nonzero output row, so each value
+    is (up to tol) an upper bound on m(D_phi) and the sequence is
+    non-increasing within 2 tol.  A piecewise block drops nonzero rows,
     so its value is not certified as an upper bound.  This is a
     consistency probe for the theorem-backed routes, not an authoritative
     computation.

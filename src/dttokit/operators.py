@@ -9,13 +9,14 @@ a dual truncated Toeplitz operator, and the conjugation f -> u conj(z f).
 
 Galerkin block ordering follows the unitary identification of K_u^perp
 with H^2 (+) H^2_-: analytic coordinates {z^n}_{n=0..N-1} first (they
-stand for {u z^n}), then the co-analytic {zbar^n}_{n=1..N}.
+stand for {u z^n}), then the co-analytic {zbar^n}_{n=1..N}.  Columns and
+the first 2N rows take that order; the rows past them are the analytic
+overflow {z^n}_{n>=N}, then the co-analytic overflow {zbar^n}_{n>N}.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fourier import (
     BlaschkeProduct,
@@ -40,8 +41,8 @@ from .modelspace import ModelBasis
 _MAX_BLOCK_BYTES = 1 << 30
 
 
-def _check_block_bytes(n: int, m: int):
-    nbytes = 16 * (2 * m) * (2 * n)  # complex128 entries
+def _check_block_bytes(rows: int, cols: int):
+    nbytes = 16 * rows * cols  # complex128 entries
     if nbytes > _MAX_BLOCK_BYTES:
         raise BudgetError(
             f"predicted Galerkin block of {nbytes} bytes exceeds {_MAX_BLOCK_BYTES}; "
@@ -95,7 +96,9 @@ def _hankel_view(w: FourierWindow, first: int, rows: int, cols: int) -> np.ndarr
     entries by j - k (Toeplitz), reversing the rows by k - j (dual
     Toeplitz), and reversing both by -j - k (Hankel).
     """
-    return sliding_window_view(_coeffs_over(w, first, first + rows + cols - 2), cols)
+    v = _coeffs_over(w, first, first + rows + cols - 2)
+    s = v.strides[0]
+    return np.lib.stride_tricks.as_strided(v, (rows, cols), (s, s), writeable=False)
 
 
 def toeplitz_matrix(phi: SymbolExpr, rows: int, cols: int, tol: float = 1e-12) -> OperatorMatrix:
@@ -187,46 +190,56 @@ def corner_gram(basis: ModelBasis, phi: SymbolExpr) -> OperatorMatrix:
 # dual truncated Toeplitz block
 
 
-def _dtto_block(windows, n: int, m: int) -> OperatorMatrix:
-    """The blocks of D_phi on the first n input and m output coordinates of
-    each kind (analytic first), from the windows of phi, u phi and
-    u conj(phi):
+def _dtto_block(windows, n: int, ha: int, hc: int) -> OperatorMatrix:
+    """D_phi on the first n input coordinates of each kind, from the
+    windows of phi, u phi and u conj(phi):
 
         [ T_phi          H_{u conj(phi)}^* ]
         [ H_{u phi}      S_phi             ]
+
+    The rows are the 2n x 2n square compression (n analytic, then n
+    co-analytic), then ha analytic and hc co-analytic overflow rows.
     """
     phi_w, u_phi, u_phibar = windows
-    a = np.empty((2 * m, 2 * n), dtype=np.complex128)
-    a[:m, :n] = _hankel_view(phi_w, -(n - 1), m, n)[:, ::-1]
-    np.conj(_hankel_view(u_phibar, -(m + n - 1), m, n)[::-1, ::-1], out=a[:m, n:])
-    a[m:, :n] = _hankel_view(u_phi, -(m + n - 1), m, n)[::-1, ::-1]
-    a[m:, n:] = _hankel_view(phi_w, -(m - 1), m, n)[::-1]
+    t = _hankel_view(phi_w, -(n - 1), n + ha, n)[:, ::-1]
+    hs = _hankel_view(u_phibar, -(2 * n + ha - 1), n + ha, n)[::-1, ::-1]
+    h = _hankel_view(u_phi, -(2 * n + hc - 1), n + hc, n)[::-1, ::-1]
+    s = _hankel_view(phi_w, -(n + hc - 1), n + hc, n)[::-1]
+    a = np.empty((2 * n + ha + hc, 2 * n), dtype=np.complex128)
+    for out, j in ((a[:n], slice(n)), (a[2 * n : 2 * n + ha], slice(n, None))):
+        out[:, :n] = t[j]
+        np.conj(hs[j], out=out[:, n:])
+    for out, j in ((a[n : 2 * n], slice(n)), (a[2 * n + ha :], slice(n, None))):
+        out[:, :n] = h[j]
+        out[:, n:] = s[j]
     return OperatorMatrix(a, max(w.tail_bound for w in windows))
 
 
 def dual_truncated_toeplitz(u: BlaschkeProduct, phi: SymbolExpr, schedule, tol: float = 1e-12):
     """Galerkin compressions of the dual truncated Toeplitz operator, one per
-    truncation n of the schedule: all 2n input monomials and n + width + 1
-    output coordinates of each kind.  Every block is checked against the
-    byte budget before the returned iterator assembles the first.
+    truncation n of the schedule: all 2n input monomials, the 2n x 2n
+    square compression, then max(hi, 0) analytic and max(-lo, 0)
+    co-analytic overflow rows for phi's window on [lo, hi].  u is
+    analytic, so u phi and u conj(phi) reach no further row, and the
+    block's size does not depend on u.  Every block is checked against
+    the byte budget before the returned iterator assembles the first.
 
     The windows of phi, u phi and u conj(phi) are certified to a tail of
-    tol/(2 sqrt(n)) and reach max(|lo|, hi) = width; every further output
-    row would be exactly zero, so the image of every input basis vector is
-    kept up to a tail <= tol/sqrt(n).  Piecewise phi is windowed over
-    [-2n, 2n] only, so its further rows need not vanish."""
+    tol/(2 sqrt(n)), so the image of every input basis vector is kept up
+    to a tail <= tol/sqrt(n).  Piecewise phi is windowed over [-2n, 2n]
+    only, so its further rows need not vanish."""
     plans = []
     for n in schedule:
         if n < 1:
             raise ValueError("truncations must be >= 1")
-        _check_block_bytes(n, n + 1)  # every block has at least n + 1 rows of each kind
+        _check_block_bytes(2 * n, 2 * n)  # every block holds the square compression
         t = tol / np.sqrt(n) / 2.0
         phi_w = symbol_to_window(phi, -2 * n, 2 * n, t)
         uw = u.window(t)
         windows = phi_w, window_multiply(uw, phi_w), window_multiply(uw, window_conjugate(phi_w))
-        m = n + max(max(abs(w.lo), w.hi) for w in windows) + 1
-        _check_block_bytes(n, m)
-        plans.append((windows, n, m))
+        ha, hc = max(phi_w.hi, 0), max(-phi_w.lo, 0)
+        _check_block_bytes(2 * n + ha + hc, 2 * n)
+        plans.append((windows, n, ha, hc))
     return (_dtto_block(*plan) for plan in plans)
 
 

@@ -54,9 +54,8 @@ def oracle_m_compressed_shift(u: BlaschkeProduct) -> float:
 
 
 def oracle_m_dual_shift(u: BlaschkeProduct) -> float:
-    """Dichotomy for the dual shift: 0 if u(0) = 0, else |u(0)|."""
-    if any(z == 0 for z in u.zeros):
-        return 0.0
+    """Dichotomy for the dual shift: 0 if u(0) = 0, else |u(0)|; in both
+    cases |u(0)| = m(A_z)."""
     return oracle_m_compressed_shift(u)
 
 

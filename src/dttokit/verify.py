@@ -234,9 +234,8 @@ def build_catalog() -> List[CatalogItem]:
     (d_z2,) = dual_truncated_toeplitz(u_z2, Z, [n])
     add(CatalogItem("dtto-offdiag-vanishes", float(np.abs(d_z2.entries[:n, n:]).max()), 0.0, 1e-14))
 
-    # the square compression: the first n output rows of each kind
-    m = d_half.shape[0] // 2
-    square = OperatorMatrix(np.vstack([d_half.entries[:n], d_half.entries[m : m + n]]))
+    # the square compression leads the block: n output rows of each kind
+    square = OperatorMatrix(d_half.entries[: 2 * n])
     c = conjugation_action(n)
     add(CatalogItem(
         "dtto-conjugation-symmetry",
@@ -290,11 +289,11 @@ def build_catalog() -> List[CatalogItem]:
     add(CatalogItem("corner-shift-pythagoras", rb.value**2 + ra**2, 1.0, 1e-10))
 
     sweep2 = galerkin_sweep(u_deg2, Z, [16, 64])
-    add(CatalogItem("sweep-dual-shift-nonzero", sweep2[-1].value, oracle_m_dual_shift(u_deg2), 0.02))
+    add(CatalogItem("sweep-dual-shift-nonzero", sweep2[-1].value, oracle_m_dual_shift(u_deg2), 1e-12))
     sweep0 = galerkin_sweep(u_z2, Z, [16, 64])
-    add(CatalogItem("sweep-dual-shift-zero", sweep0[-1].value, oracle_m_dual_shift(u_z2), 0.02))
+    add(CatalogItem("sweep-dual-shift-zero", sweep0[-1].value, oracle_m_dual_shift(u_z2), 1e-12))
     sweep1 = galerkin_sweep(u_half, Z, [16, 64])
-    add(CatalogItem("sweep-dual-shift-dim-one", sweep1[-1].value, oracle_m_dual_shift(u_half), 0.02))
+    add(CatalogItem("sweep-dual-shift-dim-one", sweep1[-1].value, oracle_m_dual_shift(u_half), 1e-12))
 
     a3 = compressed_shift(u_deg3)
     target = oracle_m_compressed_shift(u_deg3)

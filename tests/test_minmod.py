@@ -27,7 +27,7 @@ from dttokit.cli import dispatch_minmod
 from dttokit import fourier
 from dttokit.fourier import _takenaka_windows
 from dttokit.minmod import MinModReport, reduced_min_modulus
-from dttokit.operators import OperatorMatrix, corner_gram, dual_toeplitz_matrix
+from dttokit.operators import OperatorMatrix, corner_gram, dual_toeplitz_matrix, dual_truncated_toeplitz
 from dttokit.oracle import oracle_m_compressed_shift
 
 from conftest import random_blaschke, random_quotient
@@ -293,6 +293,17 @@ def test_sweep_dichotomy_values():
             assert b <= a + 2 * tol
 
 
+def test_sweep_near_the_circle_is_sized_by_the_symbol_not_by_u():
+    # u's window runs to about 2e5 coefficients at this tolerance, which
+    # a block sized by it would pay in rows; phi = z reaches one row past
+    # the 512 x 512 square compression
+    u = BlaschkeProduct(1.0, (0.9999, -0.5j))
+    (block,) = dual_truncated_toeplitz(u, Z, [256], 1e-9)
+    assert block.shape == (513, 512)
+    (rep,) = galerkin_sweep(u, Z, [256])
+    assert abs(rep.value - 0.49995) <= 1e-12
+
+
 def test_sweep_upper_bounds_finite_exact(rng):
     tol = 1e-9
     u = random_blaschke(rng, max_degree=3, max_modulus=0.7)
@@ -456,8 +467,8 @@ def test_stacked_assembly_peaks_no_higher_than_the_per_element_one():
 
 
 def test_galerkin_block_is_wrapped_not_copied():
-    # the n = 256 block of this three-arc symbol holds about 13.5 MB; an
-    # OperatorMatrix that copied its entries held it twice, a 26.5 MB peak
+    # the n = 256 block of this three-arc symbol holds about 12.6 MB; an
+    # OperatorMatrix that copied its entries held it twice, a 25.2 MB peak
     u = BlaschkeProduct(1.0, (0.5, -0.3j))
     phi = PiecewiseArcs(((0.0, 2.0, 1.0), (2.0, 4.0, 1j), (4.0, 2 * np.pi, -1.0)))
     galerkin_sweep(u, phi, [16])

@@ -165,24 +165,42 @@ def _dtto_expected(phi: LaurentPoly, power: int, n: int, m: int) -> np.ndarray:
     return a
 
 
+def _in_block_order(ref: np.ndarray, n: int, ha: int, hc: int) -> np.ndarray:
+    """Reference rows, m of each kind, in the block's order: the square
+    compression, then ha analytic and hc co-analytic overflow rows."""
+    m = ref.shape[0] // 2
+    return np.vstack([ref[:n], ref[m : m + n], ref[n : n + ha], ref[m + n : m + n + hc]])
+
+
 def _square(block: OperatorMatrix, n: int) -> np.ndarray:
     """The 2n x 2n compression: the first n output rows of each kind."""
-    m = block.shape[0] // 2
-    return np.vstack([block.entries[:n], block.entries[m : m + n]])
+    return block.entries[: 2 * n]
+
+
+def _rows_by_kind(block: OperatorMatrix, n: int, ha: int):
+    """The analytic and the co-analytic output rows, each in index order,
+    of a block with ha analytic overflow rows."""
+    e = block.entries
+    return np.vstack([e[:n], e[2 * n : 2 * n + ha]]), np.vstack([e[n : 2 * n], e[2 * n + ha :]])
+
+
+def _check_dtto_against_reference(phi: LaurentPoly, power: int, n: int):
+    (block,) = dual_truncated_toeplitz(BlaschkeProduct(1.0, (0.0,) * power), phi, [n], 1e-9)
+    lo, hi = phi.offset, phi.offset + len(phi.coeffs) - 1
+    ha, hc = max(hi, 0), max(-lo, 0)
+    assert block.shape == (2 * n + ha + hc, 2 * n)
+    # the reference reaches 4 rows of each kind past the block's last
+    m = n + max(ha, hc) + 4
+    ref = _dtto_expected(phi, power, n, m)
+    assert np.array_equal(block.entries, _in_block_order(ref, n, ha, hc))
+    # the block keeps every nonzero output row: further rows are zero
+    assert not ref[n + ha : m].any() and not ref[m + n + hc :].any()
+    assert np.array_equal(_square(block, n), _dtto_expected(phi, power, n, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_dtto_follows_its_index_rules_and_is_a_row_slice_of_the_rectangular_block(n):
-    u = BlaschkeProduct(1.0, (0.0, 0.0))
-    (block,) = dual_truncated_toeplitz(u, PHI_NARROW, [n], 1e-9)
-    r = block.entries
-    m = r.shape[0] // 2
-    assert r.shape == (2 * m, 2 * n) and m > n
-    assert np.array_equal(r, _dtto_expected(PHI_NARROW, 2, n, m))
-    # the output rows reach every nonzero entry: further rows would be zero
-    wider = _dtto_expected(PHI_NARROW, 2, n, m + 4)
-    assert not wider[m : m + 4].any() and not wider[2 * m + 4 :].any()
-    assert np.array_equal(_square(block, n), _dtto_expected(PHI_NARROW, 2, n, n))
+    _check_dtto_against_reference(PHI_NARROW, 2, n)
 
 
 # ---------------------------------------------------------------------------
@@ -296,47 +314,54 @@ def test_corner_gram_shift_on_monomial_space():
 def test_dtto_block_identity_symbol():
     u = BlaschkeProduct(1.0, (0.5,))
     (d,) = dual_truncated_toeplitz(u, constant_symbol(1.0), [5])
-    m = d.shape[0] // 2
-    expected = np.zeros((2 * m, 10))
-    expected[:5, :5] = expected[m : m + 5, 5:] = np.eye(5)
-    assert np.abs(d.entries - expected).max() < 1e-14
+    # a constant symbol reaches no row past the square compression
+    assert d.shape == (10, 10)
+    assert np.abs(d.entries - np.eye(10)).max() < 1e-14
 
 
 def test_dtto_block_offdiagonal_rank_one():
     n = 16
     u = BlaschkeProduct(1.0, (0.5,))
     (d,) = dual_truncated_toeplitz(u, Z, [n])
-    m = d.shape[0] // 2
+    # the shift reaches one analytic row past the square compression
+    assert d.shape == (2 * n + 1, 2 * n)
+    analytic, coanalytic = _rows_by_kind(d, n, 1)
     # every row of the upper-right block: conj(u(0)) at the corner, else 0
-    ur = d.entries[:m, n:]
-    expected = np.zeros((m, n), dtype=complex)
+    ur = analytic[:, n:]
+    expected = np.zeros((n + 1, n), dtype=complex)
     expected[0, 0] = np.conj(u.at_zero())
     assert np.abs(ur - expected).max() < 1e-12
     # lower-left block vanishes for the shift symbol
-    assert np.abs(d.entries[m:, :n]).max() < 1e-12
+    assert np.abs(coanalytic[:, :n]).max() < 1e-12
 
 
 def test_dtto_block_offdiagonal_vanishes_at_origin_zero():
     n = 16
     (d,) = dual_truncated_toeplitz(BlaschkeProduct(1.0, (0.0, 0.0)), Z, [n])
-    assert np.abs(d.entries[: d.shape[0] // 2, n:]).max() == 0.0
+    assert d.shape == (2 * n + 1, 2 * n)
+    assert np.abs(_rows_by_kind(d, n, 1)[0][:, n:]).max() == 0.0
 
 
 def test_dtto_block_is_refused_above_the_byte_budget(monkeypatch):
-    # a block of 2m x 2n complex entries takes 64 m n bytes, with
-    # m = n + width + 1 output rows of each kind
+    # a block of rows x cols complex entries takes 16 rows cols bytes; the
+    # shift reaches one analytic row past the 2n x 2n square compression
     u = BlaschkeProduct(1.0, (0.5,))
-    m16, m17 = (d.shape[0] // 2 for d in dual_truncated_toeplitz(u, Z, [16, 17]))
-    assert m16 > 16 and m17 > 17
+    assert [d.shape for d in dual_truncated_toeplitz(u, Z, [16, 17])] == [(33, 32), (35, 34)]
     # a budget of exactly the n = 16 block admits it and refuses n = 17
-    # before any block of the schedule is allocated
-    budget = 64 * m16 * 16
+    # before any block of the schedule is allocated, from its least size
+    budget = 16 * 33 * 32
     monkeypatch.setattr(operators, "_MAX_BLOCK_BYTES", budget)
-    assert next(dual_truncated_toeplitz(u, Z, [16])).shape == (2 * m16, 32)
-    with pytest.raises(SymbolClassError, match=f"block of {64 * m17 * 17} bytes exceeds {budget}"):
+    assert next(dual_truncated_toeplitz(u, Z, [16])).shape == (33, 32)
+    with pytest.raises(SymbolClassError, match=f"block of {16 * 34 * 34} bytes exceeds {budget}"):
+        dual_truncated_toeplitz(u, Z, [1, 17])
+    # a budget of exactly the n = 17 square passes the least size and
+    # refuses the block's real size
+    budget = 16 * 34 * 34
+    monkeypatch.setattr(operators, "_MAX_BLOCK_BYTES", budget)
+    with pytest.raises(SymbolClassError, match=f"block of {16 * 35 * 34} bytes exceeds {budget}"):
         dual_truncated_toeplitz(u, Z, [1, 17])
     # the sweep refuses through the same plan
-    with pytest.raises(SymbolClassError, match=f"block of {64 * m17 * 17} bytes"):
+    with pytest.raises(SymbolClassError, match=f"block of {16 * 35 * 34} bytes"):
         galerkin_sweep(u, Z, [1, 17], 1e-12)
 
 
@@ -498,13 +523,18 @@ def test_monomial_blocks_read_the_same_entries_from_padded_windows(phi, n):
 @settings(max_examples=25)
 @given(u=_INNERS, phi=_LAURENT, n=st.integers(1, 40))
 def test_galerkin_block_rows_reach_the_laurent_support(u, phi, n):
-    tol = 1e-9
     lo, hi = phi.offset, phi.offset + len(phi.coeffs) - 1
-    w_u = u.window(tol / np.sqrt(n) / 2.0).hi
-    # reach of phi, u phi and u conj(phi), the windows that fill the block
-    width = max(abs(lo), abs(hi), w_u + hi, w_u - lo)
-    (block,) = dual_truncated_toeplitz(u, phi, [n], tol)
-    assert block.shape == (2 * (n + width + 1), 2 * n)
+    # the square compression, then the rows phi reaches past it, whatever u
+    (block,) = dual_truncated_toeplitz(u, phi, [n], 1e-9)
+    assert block.shape == (2 * n + max(hi, 0) + max(-lo, 0), 2 * n)
+
+
+@settings(max_examples=25)
+@given(power=st.integers(0, 4), phi=_LAURENT, n=st.integers(1, 20))
+# both Hankel blocks reach into the overflow rows
+@example(power=0, phi=LaurentPoly(-3, np.arange(1.0, 8.0)), n=1)
+def test_dtto_matches_the_reference_rows_of_a_monomial_inner(power, phi, n):
+    _check_dtto_against_reference(phi, power, n)
 
 
 # ---------------------------------------------------------------------------
