@@ -146,9 +146,18 @@ def cmd_report(result, fmt: str, tol: float, output: Optional[str]) -> int:
 
 
 def cmd_verify(perturb_oracle: float) -> int:
+    """Run the catalog: 1 if an item fails or the catalog raises, which is
+    reported as one failed line; 2 for a non-finite shift."""
+    if not math.isfinite(perturb_oracle):
+        print(f"input error: --perturb-oracle must be finite, got {perturb_oracle!r}", file=sys.stderr)
+        return 2
     from .verify import run_catalog
 
-    failures = run_catalog(perturb_oracle=perturb_oracle)
+    try:
+        failures = run_catalog(perturb_oracle=perturb_oracle)
+    except Exception as exc:
+        print(f"FAIL  catalog  {type(exc).__name__}: {exc}")
+        return 1
     return 1 if failures else 0
 
 
@@ -186,11 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "verify":
+        return cmd_verify(args.perturb_oracle)
     try:
-        if args.command == "verify":
-            if not math.isfinite(args.perturb_oracle):
-                raise ValueError(f"--perturb-oracle must be finite, got {args.perturb_oracle!r}")
-            return cmd_verify(args.perturb_oracle)
         try:
             inner = blaschke_from_json(_load_json_arg(args.inner)) if args.inner else None
             symbol = symbol_from_json(_load_json_arg(args.symbol)) if args.symbol else None

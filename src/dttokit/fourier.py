@@ -118,13 +118,6 @@ class FourierWindow:
         re, im = self.coeffs.real, self.coeffs.imag
         return math.sqrt(re.dot(re) + im.dot(im))
 
-    def eval_at(self, z: complex) -> complex:
-        """Sum c_n z^n over the stored block of one window (z != 0 if lo < 0)."""
-        if self.coeffs.ndim != 1:
-            raise ValueError("eval_at takes one window, not a stack")
-        n = np.arange(self.lo, self.hi + 1)
-        return complex(np.sum(self.coeffs * np.power(complex(z), n)))
-
     @functools.cached_property
     def gram(self) -> np.ndarray:
         """G[j, k] = <row_k, row_j>, formed on first use and kept: the rows
@@ -244,10 +237,6 @@ def window_add(f: FourierWindow, g: FourierWindow) -> FourierWindow:
     return FourierWindow(lo, out, f.tail_bound + g.tail_bound)
 
 
-def window_sub(f: FourierWindow, g: FourierWindow) -> FourierWindow:
-    return window_add(f, window_scale(g, -1.0))
-
-
 def window_inner_product(f: FourierWindow, g: FourierWindow):
     """l2 pairing sum f_hat(n) conj(g_hat(n)) over the common support.
 
@@ -304,64 +293,8 @@ def project_antianalytic(f: FourierWindow) -> FourierWindow:
 # Blaschke products
 
 
-def _geometric_powers(a: complex, n: int) -> np.ndarray:
-    """a^0, ..., a^(n-1) by doubling: the pass at k fills out[k:2k] with
-    out[:k] times a^k, so the run takes log2(n) vector products.
-
-    a^k is carried by squaring in long double (extended precision on x86)
-    and rounded once per pass, so entry j picks up about one rounding per
-    set bit of j: relative error near log2(n) eps, where that of the
-    complex powers a ** j grows in proportion to j.
-    """
-    out = np.empty(n, dtype=np.complex128)
-    out[0] = 1.0
-    step = np.clongdouble(a)
-    k = 1
-    while k < n:
-        m = min(k, n - k)
-        np.multiply(out[:m], np.complex128(step), out=out[k : k + m])
-        k += m
-        step *= step
-    return out
-
-
 def blaschke_factor_value(lam: complex, z: complex) -> complex:
     return (z - lam) / (1.0 - np.conj(lam) * z)
-
-
-def blaschke_factor_coeffs(lam: complex, n_max: int) -> FourierWindow:
-    """Analytic expansion of the factor (z - lam)/(1 - conj(lam) z).
-
-    Coefficients: c_0 = -lam and c_n = (1 - |lam|^2) conj(lam)^{n-1} for
-    1 <= n <= n_max.  The omitted geometric tail is certified:
-    tail = (1 - |lam|^2) |lam|^{n_max} / sqrt(1 - |lam|^2).
-    """
-    lam = complex(lam)
-    r = abs(lam)
-    if r >= 1.0:
-        raise ValueError("Blaschke factor zero must lie in the open unit disc")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if lam == 0:
-        return delta_window(1)
-    c = np.empty(n_max + 1, dtype=np.complex128)
-    c[0] = -lam
-    c[1:] = (1.0 - r * r) * _geometric_powers(np.conj(lam), n_max)
-    tail = (1.0 - r * r) * r**n_max / np.sqrt(1.0 - r * r)
-    return FourierWindow(0, c, float(tail))
-
-
-def geometric_window(lam: complex, n_max: int) -> FourierWindow:
-    """Expansion of 1/(1 - conj(lam) z): coefficients conj(lam)^n."""
-    lam = complex(lam)
-    r = abs(lam)
-    if r >= 1.0:
-        raise ValueError("pole parameter must lie in the open unit disc")
-    if lam == 0:
-        return delta_window(0)
-    c = _geometric_powers(np.conj(lam), n_max + 1)
-    tail = r ** (n_max + 1) / np.sqrt(1.0 - r * r)
-    return FourierWindow(0, c, float(tail))
 
 
 def _check_tol(tol: float) -> None:

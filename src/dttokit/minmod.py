@@ -8,7 +8,6 @@ through the model space are the authoritative computations here and
 :func:`galerkin_sweep` serves as a consistency probe only.
 """
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,8 +29,6 @@ from .operators import (
     dual_truncated_toeplitz,
     truncated_toeplitz,
 )
-
-RANK_TOL_DEFAULT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -98,22 +95,6 @@ def sigma_min(mat: OperatorMatrix) -> float:
 
 def sigma_max(mat: OperatorMatrix) -> float:
     return float(np.linalg.svd(mat.entries, compute_uv=False)[0])
-
-
-def reduced_min_modulus(mat: OperatorMatrix) -> float:
-    """Smallest singular value above the kernel cutoff.
-
-    The cutoff is RANK_TOL_DEFAULT scaled by the matrix norm.  If every
-    singular value falls below it the compression is degenerate: a
-    warning is issued and 0 is returned.
-    """
-    s = np.linalg.svd(mat.entries, compute_uv=False)
-    cutoff = RANK_TOL_DEFAULT * max(1.0, float(s[0]))
-    above = s[s > cutoff]
-    if above.size == 0:
-        warnings.warn("all singular values fall below the rank cutoff; degenerate compression")
-        return 0.0
-    return float(above[-1])
 
 
 # ---------------------------------------------------------------------------

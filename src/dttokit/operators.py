@@ -1,11 +1,11 @@
 """Finite matrix realizations of the operators acting on and around K_u.
 
-Builders cover the Toeplitz operator T_phi f = P(phi f), the Hankel
-operator H_phi f = P_-(phi f), the dual Toeplitz operator
-S_phi = P_- M_phi |_{H^2_-}, the truncated Toeplitz operator
-A_phi = P_{K_u} M_phi |_{K_u}, the compressed shift A_z, the Gram of the
-corner operator P_{K_u^perp} M_phi |_{K_u}, the 2x2 block compression of
-a dual truncated Toeplitz operator, and the conjugation f -> u conj(z f).
+Builders cover the truncated Toeplitz operator A_phi = P_{K_u} M_phi |_{K_u},
+the compressed shift A_z, the Gram of the corner operator
+P_{K_u^perp} M_phi |_{K_u}, and the Galerkin blocks of the dual truncated
+Toeplitz operator D_phi on K_u^perp.  The Toeplitz block T_phi, the
+Hankel blocks H_{u phi} and H_{u conj(phi)}^* and the dual Toeplitz block
+S_phi on monomials are slices of those blocks (see :func:`_dtto_block`).
 
 Galerkin block ordering follows the unitary identification of K_u^perp
 with H^2 (+) H^2_-: analytic coordinates {z^n}_{n=0..N-1} first (they
@@ -85,41 +85,20 @@ class OperatorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# monomial-basis blocks (entries read straight off a symbol window)
+# the strided view every monomial block is read from
 
 
 def _hankel_view(w: FourierWindow, first: int, rows: int, cols: int) -> np.ndarray:
     """Read-only (rows, cols) view with entry (j, k) = w_hat(first + j + k).
 
-    All entries share one zero-padded coefficient vector.  Every block
-    below is a flip of this view: reversing the columns indexes the
+    All entries share one zero-padded coefficient vector.  Every block of
+    D_phi is a flip of this view: reversing the columns indexes the
     entries by j - k (Toeplitz), reversing the rows by k - j (dual
     Toeplitz), and reversing both by -j - k (Hankel).
     """
     v = _coeffs_over(w, first, first + rows + cols - 2)
     s = v.strides[0]
     return np.lib.stride_tricks.as_strided(v, (rows, cols), (s, s), writeable=False)
-
-
-def toeplitz_matrix(phi: SymbolExpr, rows: int, cols: int, tol: float = 1e-12) -> OperatorMatrix:
-    """T_phi on monomials: entry (j, k) = phi_hat(j - k), 0-based both ways."""
-    w = symbol_to_window(phi, -(cols - 1), rows - 1, tol)
-    a = _hankel_view(w, -(cols - 1), rows, cols)[:, ::-1]
-    return OperatorMatrix(a, w.tail_bound)
-
-
-def hankel_matrix(phi: SymbolExpr, out_rows: int, cols: int, tol: float = 1e-12) -> OperatorMatrix:
-    """H_phi: row j stands for zbar^{j+1}; entry (j, k) = phi_hat(-(j+1) - k)."""
-    w = symbol_to_window(phi, -(out_rows + cols - 1), -1, tol)
-    a = _hankel_view(w, -(out_rows + cols - 1), out_rows, cols)[::-1, ::-1]
-    return OperatorMatrix(a, w.tail_bound)
-
-
-def dual_toeplitz_matrix(phi: SymbolExpr, size: int, tol: float = 1e-12) -> OperatorMatrix:
-    """S_phi on {zbar^j}_{j=1..size}: entry (j, k) = phi_hat(k - j)."""
-    w = symbol_to_window(phi, -(size - 1), size - 1, tol)
-    a = _hankel_view(w, -(size - 1), size, size)[::-1]
-    return OperatorMatrix(a, w.tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -241,27 +220,3 @@ def dual_truncated_toeplitz(u: BlaschkeProduct, phi: SymbolExpr, schedule, tol: 
         _check_block_bytes(2 * n + ha + hc, 2 * n)
         plans.append((windows, n, ha, hc))
     return (_dtto_block(*plan) for plan in plans)
-
-
-def conjugation_action(n: int) -> OperatorMatrix:
-    """Matrix M of the antilinear conjugation f -> u conj(z f) on K_u^perp.
-
-    In the {u z^k} (+) {zbar^j} coordinates, k, j < n, the map sends
-    u z^k -> zbar^{k+1} and zbar^j -> u z^{j-1}, so it acts as
-    x -> M conj(x) with M the 2n x 2n block swap, the same for every inner
-    u.  M is unitary, M conj(M) = I, and the compression is exact: the
-    conjugation preserves both the retained subspace and its complement.
-    """
-    if n < 1:
-        raise ValueError("truncation size must be >= 1")
-    m = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    eye = np.eye(n)
-    m[:n, n:] = eye
-    m[n:, :n] = eye
-    return OperatorMatrix(m)
-
-
-def conjugate_sandwich(conj_mat: OperatorMatrix, mat: OperatorMatrix) -> np.ndarray:
-    """Matrix of C T C for antilinear C(x) = M conj(x): equals M conj(T) M."""
-    m = conj_mat.entries
-    return m @ np.conj(mat.entries) @ m

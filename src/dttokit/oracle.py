@@ -174,8 +174,9 @@ def normal_dtto_bounds(phi: SymbolExpr):
 
 def _divides(u: BlaschkeProduct, phi: BlaschkeQuotient) -> bool:
     """Whether u divides phi as inner functions (zero multisets match);
-    phi carries no negative power of z."""
-    pool = list(phi.zeros) + [0.0 + 0.0j] * phi.z_power
+    phi carries no negative power of z.  At most u.degree of phi's zeros
+    at 0 can be matched, so no more are pooled."""
+    pool = list(phi.zeros) + [0.0 + 0.0j] * min(phi.z_power, u.degree)
     for lam in u.zeros:
         hit = next((i for i, mu in enumerate(pool) if abs(mu - lam) <= 1e-12), None)
         if hit is None:

@@ -25,21 +25,15 @@ from .fourier import (
     inner_symbol,
     shift_symbol,
     symbol_to_window,
+    window_add,
     window_inner_product,
     window_shift,
-    window_sub,
 )
 from .modelspace import reproducing_kernel, tm_basis
 from .operators import (
-    OperatorMatrix,
     compressed_shift,
-    conjugation_action,
-    conjugate_sandwich,
     corner_gram,
-    dual_toeplitz_matrix,
     dual_truncated_toeplitz,
-    hankel_matrix,
-    toeplitz_matrix,
     truncated_toeplitz,
 )
 from .minmod import (
@@ -48,7 +42,6 @@ from .minmod import (
     min_modulus_corner,
     min_modulus_toeplitz_hankel,
     min_modulus_unimodular,
-    reduced_min_modulus,
     sigma_min,
 )
 from .oracle import (
@@ -138,23 +131,30 @@ def build_catalog() -> List[CatalogItem]:
     add(CatalogItem("monomial-model-basis", float(mono_dev), 0.0, 1e-14))
 
     # -- operator matrices ------------------------------------------------
+    # T_phi, H_{u phi} and S_phi are slices of the Galerkin block of D_phi
+    # at truncation n: entries[:n, :n], entries[n:, :n] (the co-analytic
+    # rows when phi reaches no analytic overflow row) and entries[n:2n, n:]
+    u_z = BlaschkeProduct(1.0, (0.0,))
+    (d,) = dual_truncated_toeplitz(u_z, LaurentPoly(-3, [1.0]), [2])
     add(CatalogItem(
         "deep-coanalytic-toeplitz-vanishes",
-        float(np.abs(toeplitz_matrix(LaurentPoly(-3, [1.0]), 2, 2).entries).max()),
+        float(np.abs(d.entries[:2, :2]).max()),
         0.0,
         1e-14,
     ))
 
-    h = hankel_matrix(ZBAR, 3, 2)
+    # u = z turns phi into the Hankel symbol u phi: z zbar^2 = zbar
+    (d,) = dual_truncated_toeplitz(u_z, LaurentPoly(-2, [1.0]), [2])
+    h = d.entries[2:, :2]
     add(CatalogItem(
         "hankel-shift-column",
-        float(abs(h.entries[0, 0] - 1.0) + np.abs(h.entries[1:, 0]).sum() + np.abs(h.entries[:, 1]).sum()),
+        float(abs(h[0, 0] - 1.0) + np.abs(h[1:, 0]).sum() + np.abs(h[:, 1]).sum()),
         0.0,
         1e-14,
     ))
 
-    hb = hankel_matrix(Conjugate(quot), 40, 2, tol=1e-13)
-    s0_norm_sq = float(np.sum(np.abs(hb.entries[:, 0]) ** 2))
+    (d,) = dual_truncated_toeplitz(u_z, Conjugate(BlaschkeQuotient(1.0, 0, (alpha,))), [2], 1e-13)
+    s0_norm_sq = float(np.sum(np.abs(d.entries[2:, 0]) ** 2))
     add(CatalogItem(
         "hankel-quotient-column-norm",
         s0_norm_sq,
@@ -162,9 +162,13 @@ def build_catalog() -> List[CatalogItem]:
         1e-10,
     ))
 
-    q = dual_toeplitz_matrix(Z, 40)
-    add(CatalogItem("dual-shift-kernel-sigma", sigma_min(q), 0.0, 1e-12))
-    add(CatalogItem("dual-shift-reduced-minmod", reduced_min_modulus(q), 1.0, 1e-12))
+    # the truncated dual shift sends zbar to 0 and no other basis vector:
+    # its reduced minimum modulus is the second-smallest singular value
+    n = 40
+    (d,) = dual_truncated_toeplitz(u_half, Z, [n])
+    sv = np.linalg.svd(d.entries[n : 2 * n, n:], compute_uv=False)
+    add(CatalogItem("dual-shift-kernel-sigma", float(sv[-1]), 0.0, 1e-12))
+    add(CatalogItem("dual-shift-reduced-minmod", float(sv[-2]), 1.0, 1e-12))
 
     a1 = truncated_toeplitz(b_half, Z)
     add(CatalogItem("compressed-shift-1x1-norm", float(abs(a1.entries[0, 0])), 0.5, 1e-10))
@@ -179,7 +183,7 @@ def build_catalog() -> List[CatalogItem]:
     s_z2 = compressed_shift(u_z2)
     defect = np.eye(2) - s_z2.adjoint().entries @ s_z2.entries
     uw = u_z2.window(1e-13)
-    s_star_u = window_shift(window_sub(uw, delta_window(0, u_z2.at_zero())), -1)
+    s_star_u = window_shift(window_add(uw, delta_window(0, -u_z2.at_zero())), -1)
     x = window_inner_product(s_star_u, b_z2.elements)
     add(CatalogItem(
         "compressed-shift-defect-rank-one",
@@ -234,12 +238,14 @@ def build_catalog() -> List[CatalogItem]:
     (d_z2,) = dual_truncated_toeplitz(u_z2, Z, [n])
     add(CatalogItem("dtto-offdiag-vanishes", float(np.abs(d_z2.entries[:n, n:]).max()), 0.0, 1e-14))
 
-    # the square compression leads the block: n output rows of each kind
-    square = OperatorMatrix(d_half.entries[: 2 * n])
-    c = conjugation_action(n)
+    # the square compression leads the block: n output rows of each kind.
+    # The conjugation f -> u conj(z f) swaps u z^k and zbar^(k+1), so
+    # C D C = D* reads M conj(S) M = S* with M the swap of the two halves
+    square = d_half.entries[: 2 * n]
+    swapped = np.roll(np.conj(square), (n, n), axis=(0, 1))
     add(CatalogItem(
         "dtto-conjugation-symmetry",
-        float(np.abs(conjugate_sandwich(c, square) - square.entries.conj().T).max()),
+        float(np.abs(swapped - square.conj().T).max()),
         0.0,
         1e-10,
     ))

@@ -18,6 +18,7 @@ from dttokit.fourier import (
     LaurentPoly,
     PiecewiseArcs,
     SumConst,
+    SymbolClassError,
     _fold_wrappers,
     shift_symbol,
 )
@@ -206,6 +207,20 @@ def test_hostile_sweep_is_refused_before_any_window_under_an_address_space_cap()
     assert "over budget:" in proc.stderr
 
 
+def test_a_huge_power_of_z_meets_the_divisibility_oracle_at_once(capsys):
+    # only deg u zeros at 0 can match u's, so no more are pooled
+    huge = LaurentPoly(100_000_000, [1.0])
+    start = time.perf_counter()
+    rep = dispatch_minmod(BlaschkeProduct(1.0, (0.5,)), huge)
+    assert rep["value"] == 0.0 and time.perf_counter() - start < 2.0
+    # u = z^2 still divides z^(10^8)
+    assert dispatch_minmod(BlaschkeProduct(1.0, (0.0, 0.0)), huge)["oracle"] == 0.0
+    # an offset past every list length
+    sym = '{"kind": "laurent", "offset": 1e300, "coeffs": [[1, 0]]}'
+    assert main(["minmod", "--inner", U_HALF, "--symbol", sym]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
+
 def test_minmod_requires_inner_for_unimodular(capsys):
     assert main(["minmod", "--symbol", PHI_Z]) == 2
 
@@ -283,6 +298,53 @@ def test_verify_clean_and_perturbed(capsys):
     # every item can fail: each compares against a shifted oracle
     assert "PASS" not in perturbed
     assert perturbed.splitlines()[-1] == "0/56 checks passed"
+
+
+# the catalog's item names: items may be added, none lost, renamed or doubled
+CATALOG_NAMES = (
+    "kernel-at-zero-norm", "piecewise-plus-constant-eval", "continuous-symbol-eval",
+    "quotient-conjugate-expansion", "monomial-model-basis", "deep-coanalytic-toeplitz-vanishes",
+    "hankel-shift-column", "hankel-quotient-column-norm", "dual-shift-kernel-sigma",
+    "dual-shift-reduced-minmod", "compressed-shift-1x1-norm", "tto-vanishes-on-own-symbol",
+    "compressed-shift-defect-rank-one", "defect-spectrum-degree-two",
+    "corner-gram-constant-symbol", "corner-gram-defect-identity", "corner-gram-shift-eigenvalue",
+    "dtto-offdiag-rank-one", "dtto-offdiag-vanishes", "dtto-conjugation-symmetry",
+    "unimodular-shift-z2", "gram-route-shift-z2", "unimodular-own-symbol", "unimodular-constant",
+    "gram-route-quotient-closed-form", "coanalytic-bounds-collapse", "coanalytic-exact-equality",
+    "corner-minmod-multidim-shift", "corner-minmod-dim-one", "corner-shift-pythagoras",
+    "sweep-dual-shift-nonzero", "sweep-dual-shift-zero", "sweep-dual-shift-dim-one",
+    "adjoint-minmod-compressed-shift", "adjoint-minmod-compressed-shift-star",
+    "compressed-shift-near-circle", "compressed-shift-star-near-circle",
+    "oracle-compressed-shift-formula", "ess-range-step", "ess-range-continuous-segment",
+    "normal-bounds-step-lower", "normal-bounds-step-upper", "normal-bounds-continuous-exact",
+    "normal-bounds-real-symbol-lower", "normal-bounds-real-symbol-exact",
+    "normal-bounds-shifted-cosine-exact", "normal-bounds-conjugate-shifted-cosine-exact",
+    "nehari-own-symbol", "nehari-shift-dim-one", "constant-symbol-oracle", "dispatch-shift-z2",
+    "dispatch-shift-z2-oracle", "dispatch-shift-dim-one", "dispatch-step-lower",
+    "dispatch-step-upper", "inner-symbol-divisible",
+)
+
+
+def test_catalog_builds_every_pinned_item_once():
+    from dttokit.verify import build_catalog
+
+    names = [item.name for item in build_catalog()]
+    assert len(CATALOG_NAMES) == 56
+    assert [names.count(name) for name in CATALOG_NAMES] == [1] * len(CATALOG_NAMES)
+
+
+@pytest.mark.parametrize("exc", [ValueError("item blew up"), SymbolClassError("item blew up")])
+def test_a_raising_catalog_is_a_failed_verification(monkeypatch, capsys, exc):
+    from dttokit import verify
+
+    def build_catalog():
+        raise exc
+
+    monkeypatch.setattr(verify, "build_catalog", build_catalog)
+    assert main(["verify"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"FAIL  catalog  {type(exc).__name__}: item blew up"]
+    assert err == ""
 
 
 def test_verify_negative_control_hits_shift_item(capsys):

@@ -26,11 +26,12 @@ from dttokit import (
 from dttokit.cli import dispatch_minmod
 from dttokit import fourier
 from dttokit.fourier import _takenaka_windows
-from dttokit.minmod import MinModReport, reduced_min_modulus
-from dttokit.operators import OperatorMatrix, corner_gram, dual_toeplitz_matrix, dual_truncated_toeplitz
+from dttokit.minmod import MinModReport
+from dttokit.operators import OperatorMatrix, corner_gram, dual_truncated_toeplitz
 from dttokit.oracle import oracle_m_compressed_shift
 
 from conftest import random_blaschke, random_quotient
+from reference import reduced_min_modulus
 
 Z = shift_symbol(1)
 
@@ -73,20 +74,23 @@ def test_sigma_min_unitary_invariance(rng):
 
 
 def test_reduced_min_modulus_of_truncated_dual_shift():
-    q = dual_toeplitz_matrix(Z, 30)
+    # S_z is the co-analytic corner of the Galerkin block of D_z
+    n = 30
+    (d,) = dual_truncated_toeplitz(BlaschkeProduct(1.0, (0.5,)), Z, [n])
+    q = d.entries[n : 2 * n, n:]
     assert reduced_min_modulus(q) == 1.0
-    assert sigma_min(q) == 0.0
+    assert sigma_min(OperatorMatrix(q)) == 0.0
 
 
 def test_reduced_min_modulus_trivia():
-    assert reduced_min_modulus(OperatorMatrix(np.eye(4))) == 1.0
+    assert reduced_min_modulus(np.eye(4)) == 1.0
     proj = np.diag([1.0, 0.0, 0.0])
-    assert reduced_min_modulus(OperatorMatrix(proj)) == 1.0
+    assert reduced_min_modulus(proj) == 1.0
 
 
 def test_reduced_min_modulus_degenerate_warns():
     with pytest.warns(UserWarning):
-        assert reduced_min_modulus(OperatorMatrix(np.zeros((3, 3)))) == 0.0
+        assert reduced_min_modulus(np.zeros((3, 3))) == 0.0
 
 
 def test_compressed_shift_and_adjoint_minmod_match_oracle():

@@ -30,21 +30,16 @@ from dttokit.fourier import (
     project_antianalytic,
     symbol_to_window,
     takenaka_realization,
+    window_add,
     window_conjugate,
     window_inner_product,
     window_multiply,
     window_shift,
-    window_sub,
 )
 from dttokit.operators import (
     OperatorMatrix,
-    conjugate_sandwich,
-    conjugation_action,
     corner_gram,
-    dual_toeplitz_matrix,
     dual_truncated_toeplitz,
-    hankel_matrix,
-    toeplitz_matrix,
     truncated_toeplitz,
     _hankel_view,
     _symbol_window_for_basis,
@@ -52,6 +47,7 @@ from dttokit.operators import (
 from dttokit.oracle import oracle_rank_one_spectrum, truncated_toeplitz_norm_hankel
 
 from conftest import random_blaschke, random_quotient
+from reference import conjugation_action
 
 Z = shift_symbol(1)
 ZBAR = conjugated(Z)
@@ -59,45 +55,89 @@ EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
-# monomial blocks
+# monomial blocks, read off the Galerkin block of D_phi
+
+# K_u = {0}: D_phi is M_phi on L^2 and its Hankel blocks are H_phi, H_{conj(phi)}^*
+ONE = BlaschkeProduct(1.0, ())
+
+
+def _rows_by_kind(block: OperatorMatrix, n: int, ha: int):
+    """The analytic and the co-analytic output rows, each in index order,
+    of a block with ha analytic overflow rows."""
+    e = block.entries
+    return np.vstack([e[:n], e[2 * n : 2 * n + ha]]), np.vstack([e[n : 2 * n], e[2 * n + ha :]])
+
+
+def _block_by_kind(phi, n, tol=1e-12, to_window=symbol_to_window):
+    """The Galerkin block of D_phi at truncation n for u = 1, with its
+    analytic and co-analytic rows; to_window makes the symbol window the builder reads,
+    whose top index fixes the analytic overflow."""
+    seen = []
+
+    def read(*args):
+        seen.append(to_window(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "symbol_to_window", read)
+        (block,) = dual_truncated_toeplitz(ONE, phi, [n], tol)
+    (phi_w,) = seen
+    return (block,) + _rows_by_kind(block, n, max(phi_w.hi, 0))
+
+
+def _toeplitz(phi, n, tol=1e-12):
+    """T_phi: the analytic rows on the n analytic input coordinates."""
+    return _block_by_kind(phi, n, tol)[1][:, :n]
+
+
+def _hankel(phi, n, tol=1e-12):
+    """H_phi (u = 1): the co-analytic rows on the n analytic input coordinates."""
+    return _block_by_kind(phi, n, tol)[2][:, :n]
+
+
+def _dual_toeplitz(phi, n, tol=1e-12):
+    """S_phi: the n co-analytic rows of the square on the co-analytic input coordinates."""
+    return _block_by_kind(phi, n, tol)[2][:n, n:]
 
 
 def test_toeplitz_identity_and_shift():
-    assert np.array_equal(toeplitz_matrix(constant_symbol(1.0), 4, 4).entries, np.eye(4))
-    assert np.array_equal(toeplitz_matrix(Z, 4, 4).entries, np.eye(4, k=-1))
+    assert np.array_equal(_toeplitz(constant_symbol(1.0), 4), np.eye(4))
+    # the shift reaches one analytic overflow row
+    assert np.array_equal(_toeplitz(Z, 4)[:4], np.eye(4, k=-1))
 
 
 def test_toeplitz_deep_coanalytic_restriction_vanishes():
-    t = toeplitz_matrix(LaurentPoly(-3, [1.0]), 2, 2)
-    assert np.abs(t.entries).max() == 0.0
+    t = _toeplitz(LaurentPoly(-3, [1.0]), 2)
+    assert np.abs(t).max() == 0.0
 
 
 def test_toeplitz_adjoint_symmetry(rng):
     phi = random_quotient(rng, max_degree=3, z_power_range=(-2, 2))
-    t = toeplitz_matrix(phi, 6, 6, 1e-12)
-    tbar = toeplitz_matrix(conjugated(phi), 6, 6, 1e-12)
-    assert np.abs(tbar.entries - t.entries.conj().T).max() < 1e-12
+    t = _toeplitz(phi, 6, 1e-12)[:6]
+    tbar = _toeplitz(conjugated(phi), 6, 1e-12)[:6]
+    assert np.abs(tbar - t.conj().T).max() < 1e-12
 
 
 def test_hankel_analytic_symbol_vanishes():
-    assert np.abs(hankel_matrix(Z, 4, 4).entries).max() == 0.0
+    assert np.abs(_hankel(Z, 4)).max() == 0.0
 
 
 def test_hankel_conjugate_shift_columns():
-    h = hankel_matrix(ZBAR, 3, 2)
-    # input 1 -> zbar, input z -> 0
-    assert h.entries[0, 0] == 1.0
-    assert np.abs(h.entries[1:, 0]).max() == 0.0
-    assert np.abs(h.entries[:, 1]).max() == 0.0
+    h = _hankel(ZBAR, 2)
+    # input 1 -> zbar, input z -> 0; zbar reaches one co-analytic overflow row
+    assert h.shape == (3, 2)
+    assert h[0, 0] == 1.0
+    assert np.abs(h[1:, 0]).max() == 0.0
+    assert np.abs(h[:, 1]).max() == 0.0
 
 
 def test_hankel_quotient_column_norm():
     alpha = 0.5
-    h = hankel_matrix(conjugated(BlaschkeQuotient(1.0, -1, (alpha,))), 50, 2, tol=1e-13)
-    s0_sq = float(np.sum(np.abs(h.entries[:, 0]) ** 2))
+    h = _hankel(conjugated(BlaschkeQuotient(1.0, -1, (alpha,))), 2, tol=1e-13)
+    s0_sq = float(np.sum(np.abs(h[:, 0]) ** 2))
     assert abs(s0_sq - alpha**2 * (1 - alpha**2)) < 1e-12
     # second column is alpha times the first
-    assert np.abs(h.entries[:, 1] - alpha * h.entries[:, 0]).max() < 1e-13
+    assert np.abs(h[:, 1] - alpha * h[:, 0]).max() < 1e-13
 
 
 def test_operator_matrix_wraps_its_entries_without_a_copy():
@@ -109,13 +149,13 @@ def test_operator_matrix_wraps_its_entries_without_a_copy():
 
 
 def test_dual_toeplitz_identity_and_shift():
-    assert np.array_equal(dual_toeplitz_matrix(constant_symbol(1.0), 4).entries, np.eye(4))
-    q = dual_toeplitz_matrix(Z, 5)
-    assert np.array_equal(q.entries, np.eye(5, k=1))
+    assert np.array_equal(_dual_toeplitz(constant_symbol(1.0), 4), np.eye(4))
+    q = _dual_toeplitz(Z, 5)
+    assert np.array_equal(q, np.eye(5, k=1))
     # kernel is spanned by the first coordinate (zbar)
-    assert np.abs(q.entries[:, 0]).max() == 0.0
-    qbar = dual_toeplitz_matrix(ZBAR, 5)
-    assert np.array_equal(qbar.entries, q.entries.conj().T)
+    assert np.abs(q[:, 0]).max() == 0.0
+    qbar = _dual_toeplitz(ZBAR, 5)
+    assert np.array_equal(qbar, q.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +181,10 @@ def test_strided_view_zero_pads_a_narrow_window():
 @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 6), (7, 3)])
 def test_monomial_blocks_follow_their_index_rules(rows, cols):
     c = _coeff(PHI_NARROW)
-    t = toeplitz_matrix(PHI_NARROW, rows, cols).entries
-    h = hankel_matrix(PHI_NARROW, rows, cols).entries
-    s = dual_toeplitz_matrix(PHI_NARROW, rows).entries
+    n = max(rows, cols)
+    t = _toeplitz(PHI_NARROW, n)[:rows, :cols]
+    h = _hankel(PHI_NARROW, n)[:rows, :cols]
+    s = _dual_toeplitz(PHI_NARROW, n)[:rows, :rows]
     assert t.shape == h.shape == (rows, cols) and s.shape == (rows, rows)
     for j, k in np.ndindex(rows, cols):
         assert t[j, k] == c(j - k)
@@ -175,13 +216,6 @@ def _in_block_order(ref: np.ndarray, n: int, ha: int, hc: int) -> np.ndarray:
 def _square(block: OperatorMatrix, n: int) -> np.ndarray:
     """The 2n x 2n compression: the first n output rows of each kind."""
     return block.entries[: 2 * n]
-
-
-def _rows_by_kind(block: OperatorMatrix, n: int, ha: int):
-    """The analytic and the co-analytic output rows, each in index order,
-    of a block with ha analytic overflow rows."""
-    e = block.entries
-    return np.vstack([e[:n], e[2 * n : 2 * n + ha]]), np.vstack([e[n : 2 * n], e[2 * n + ha :]])
 
 
 def _check_dtto_against_reference(phi: LaurentPoly, power: int, n: int):
@@ -240,7 +274,7 @@ def test_compressed_shift_defect_identity(rng):
         a = compressed_shift(u)
         defect = np.eye(degree) - a.adjoint().entries @ a.entries
         uw = u.window(1e-13)
-        s_star_u = window_shift(window_sub(uw, delta_window(0, u.at_zero())), -1)
+        s_star_u = window_shift(window_add(uw, delta_window(0, -u.at_zero())), -1)
         x = np.array([window_inner_product(s_star_u, e) for e in basis.basis])
         assert np.abs(defect - np.outer(x, np.conj(x))).max() < 1e-10
         assert abs(np.vdot(x, x).real - (1 - abs(u.at_zero()) ** 2)) < 1e-10
@@ -386,17 +420,19 @@ def test_dtto_defect_identity_on_every_column(rng):
 
 
 def test_conjugation_is_basis_swap():
-    c = conjugation_action(4)
+    m = conjugation_action(4)
     v = np.zeros(8)
     v[4] = 1.0  # zbar coordinate
-    image = c.entries @ np.conj(v)
+    image = m @ np.conj(v)
     assert image[0] == 1.0 and np.abs(image[1:]).max() == 0.0
+    # the swap rolls the coordinates by n, as the catalog applies it
+    assert np.array_equal(image, np.roll(np.conj(v), 4))
 
 
 def test_conjugation_unitary_and_involutive():
     # x -> M conj(x) is an involution exactly when M conj(M) = I
     for n in (1, 3, 8):
-        m = conjugation_action(n).entries
+        m = conjugation_action(n)
         assert np.abs(m @ m.conj().T - np.eye(2 * n)).max() == 0.0
         assert np.abs(m @ np.conj(m) - np.eye(2 * n)).max() == 0.0
 
@@ -407,10 +443,12 @@ def test_conjugation_intertwines_block_with_adjoint(rng):
         u = random_blaschke(rng, max_degree=3, max_modulus=0.8)
         phi = random_quotient(rng, max_degree=2, z_power_range=(-1, 1))
         (block,) = dual_truncated_toeplitz(u, phi, [n])
-        d = OperatorMatrix(_square(block, n))
-        c = conjugation_action(n)
-        resid = np.abs(conjugate_sandwich(c, d) - d.entries.conj().T).max()
-        assert resid < 1e-10
+        d = _square(block, n)
+        m = conjugation_action(n)
+        sandwich = m @ np.conj(d) @ m
+        assert np.abs(sandwich - d.conj().T).max() < 1e-10
+        # the catalog's form of C D C: both axes rolled by n
+        assert np.array_equal(np.roll(np.conj(d), (n, n), axis=(0, 1)), sandwich)
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +547,14 @@ def test_trimmed_symbol_windows_give_the_padded_results(u, phi, n):
 @settings(max_examples=40)
 @given(phi=_SYMBOLS, n=st.integers(1, 12))
 def test_monomial_blocks_read_the_same_entries_from_padded_windows(phi, n):
+    # T_phi, H_phi, H_{conj(phi)}^* and S_phi: the padded window adds rows
+    # of each kind past the trimmed block's, and every one of them is zero
     tol = 1e-9
-    for build, args in (
-        (toeplitz_matrix, (phi, n, n + 2, tol)),
-        (hankel_matrix, (phi, n + 2, n, tol)),
-        (dual_toeplitz_matrix, (phi, n, tol)),
-    ):
-        trimmed, padded = build(*args), _padded(build, *args)
-        assert np.array_equal(trimmed.entries, padded.entries)
-        assert trimmed.entry_error == padded.entry_error
+    trimmed = _block_by_kind(phi, n, tol)
+    padded = _block_by_kind(phi, n, tol, to_window=_padded_symbol_to_window)
+    for t, p in zip(trimmed[1:], padded[1:]):
+        assert np.array_equal(t, p[: len(t)]) and not p[len(t) :].any()
+    assert trimmed[0].entry_error == padded[0].entry_error
 
 
 @settings(max_examples=25)
