@@ -32,6 +32,10 @@ _DIRECT_PRODUCT_MAX = 128
 # share, refused before they are built.  Zeros at modulus 0.9999 need about
 # 0.28M coefficients at tol 1e-12, whatever the degree.
 _MAX_WINDOW_WIDTH = 1 << 20
+# Largest realization, in bytes, that takenaka_realization builds: the same
+# 1 GiB as the Galerkin block budget.  Its peak holds about three d x d
+# long-double complex arrays, so degrees past 3344 are refused.
+_MAX_REALIZATION_BYTES = 1 << 30
 # Largest tabulated FFT length.  The longest product the width refusal
 # admits is conj(u) phi e_k in the corner images, with u and e_k at most
 # _MAX_WINDOW_WIDTH + 1 coefficients long and a piecewise phi over twice
@@ -351,6 +355,17 @@ class BlaschkeProduct:
         return window_scale(_blaschke_product_window(self.zeros, tol), self.unimodular_constant)
 
 
+def _check_degree(d: int):
+    """Refuse a realization of d zeros whose d x d arrays exceed the byte
+    budget, before anything of that size is allocated."""
+    nbytes = 3 * np.dtype(np.clongdouble).itemsize * d * d
+    if nbytes > _MAX_REALIZATION_BYTES:
+        raise BudgetError(
+            f"predicted realization of {nbytes} bytes for {d} zeros exceeds "
+            f"{_MAX_REALIZATION_BYTES}; inner function degree too high"
+        )
+
+
 def takenaka_realization(zeros: tuple):
     """(A_z, e(0), eta): the d x d realization of the Takenaka-Malmquist
     basis of the zeros, in long double, and a bound on its rounding.
@@ -367,8 +382,10 @@ def takenaka_realization(zeros: tuple):
     product of at most d + 2 rounded factors, and |lam| is rounded once
     before 1 - |lam| is formed, so every entry of A_z and e(0) is within
     relative error eta = eps_ld (2 d + 4 + 1/(1 - max |lam|)) of its exact
-    value for the zeros as given, eps_ld the long-double epsilon.
+    value for the zeros as given, eps_ld the long-double epsilon.  More
+    zeros than the byte budget admits raise BudgetError first.
     """
+    _check_degree(len(zeros))
     lam = np.array(zeros, dtype=np.clongdouble)
     d = len(lam)
     r = np.abs(lam)
@@ -854,6 +871,7 @@ def blaschke_from_json(obj: dict) -> BlaschkeProduct:
         zp = int(obj.get("z_power", 0))
         if zp < 0:
             raise ValueError("an inner function cannot carry a negative power of z")
+        _check_degree(zp + len(obj.get("zeros", [])))
         zeros = tuple(_j2c(z) for z in obj.get("zeros", [])) + (0.0 + 0.0j,) * zp
         return BlaschkeProduct(_j2c(obj.get("constant", [1.0, 0.0])), zeros)
     if kind != "blaschke_product":

@@ -29,6 +29,7 @@ from .operators import (
     dual_truncated_toeplitz,
     truncated_toeplitz,
 )
+from .oracle import analytic_compressions
 
 
 @dataclass(frozen=True)
@@ -165,26 +166,43 @@ def min_modulus_corner(
 ) -> MinModReport:
     """Minimum modulus of the corner operator B_phi = P_{K_u^perp} M_phi |_{K_u}.
 
-    Unimodular phi: sqrt(1 - |A_phi|^2).  Analytic phi: sqrt(lambda_min(G)),
-    G the corner Gram, which is the matrix of B_phi* B_phi.  Inner phi
-    admits both; the Gram value is attached as the oracle cross-value.
+    Analytic phi: B_phi* B_phi = G = A_{|phi|^2} - A_phi* A_phi, both
+    compressions d x d functions of the compressed shift
+    (:func:`analytic_compressions`), so no window is built.  The value is
+    sqrt(lambda_min(G)), or, for inner phi, sqrt(1 - sigma_max(A_phi)^2),
+    with the windowed corner Gram at ``tol`` attached as the oracle
+    cross-value.  entry_error bounds ||G - fl(G)||_2, so lambda_min, not
+    its square root: with e and e2 the bounds of A_phi and A_{|phi|^2},
+    e2 + e (2 ||A_phi||_F + e) + (d + 2) eps ||A_phi||_F^2 + eps ||G||_F
+    for the product and the difference, and e (2 sigma_max + e) for
+    inner phi.  The eigensolver's own roundoff is not in it.
+
+    Unimodular, non-analytic phi: sqrt(1 - |A_phi|^2) from the windowed
+    truncated Toeplitz matrix, with its entry error.
     """
     unimod = is_unimodular(phi)
-    analytic = is_analytic(phi)
-    if not (unimod or analytic):
-        raise SymbolClassError("corner route requires a unimodular or analytic symbol")
-    basis = tm_basis(u, tol)
-    gram_value = None
-    if analytic:
-        g = corner_gram(basis, phi)
-        gram_value = float(np.sqrt(max(0.0, float(np.linalg.eigvalsh(g.entries)[0]))))
+    if not is_analytic(phi):
         if not unimod:
-            err = g.sv_perturbation()
-            return MinModReport(gram_value, "finite_exact", None, err, quantity="m(B_phi)")
-    a = truncated_toeplitz(basis, phi)
-    s = sigma_max(a)
-    value = float(np.sqrt(max(0.0, 1.0 - s * s)))
-    return MinModReport(value, "finite_exact", None, a.sv_perturbation(), gram_value, "m(B_phi)")
+            raise SymbolClassError("corner route requires a unimodular or analytic symbol")
+        a = truncated_toeplitz(tm_basis(u, tol), phi)
+        s = sigma_max(a)
+        value = float(np.sqrt(max(0.0, 1.0 - s * s)))
+        return MinModReport(value, "finite_exact", None, a.sv_perturbation(), quantity="m(B_phi)")
+    a, a2 = analytic_compressions(u, phi)
+    e = a.entry_error
+    if unimod:
+        s = sigma_max(a)
+        value = float(np.sqrt(max(0.0, 1.0 - s * s)))
+        g = corner_gram(tm_basis(u, tol), phi)
+        cross = float(np.sqrt(max(0.0, float(np.linalg.eigvalsh(g.entries)[0]))))
+        return MinModReport(value, "finite_exact", None, float(e * (2.0 * s + e)), cross, "m(B_phi)")
+    x = a.entries
+    g = a2.entries - x.conj().T @ x
+    fx = float(np.linalg.norm(x))
+    eps = np.finfo(float).eps
+    err = a2.entry_error + e * (2.0 * fx + e) + eps * ((u.degree + 2) * fx * fx + np.linalg.norm(g))
+    value = float(np.sqrt(max(0.0, float(np.linalg.eigvalsh(g)[0]))))
+    return MinModReport(value, "finite_exact", None, float(err), quantity="m(B_phi)")
 
 
 # ---------------------------------------------------------------------------

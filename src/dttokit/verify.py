@@ -293,6 +293,14 @@ def build_catalog() -> List[CatalogItem]:
     ))
     ra = min_modulus_unimodular(BlaschkeProduct(1.0, (0.2,)), Z).value
     add(CatalogItem("corner-shift-pythagoras", rb.value**2 + ra**2, 1.0, 1e-10))
+    # u = b_lam, phi = a + b z: B* B = |b|^2 (1 - |lam|^2) on the line K_u
+    lam, b = 0.7 + 0.1j, 0.6 + 0.5j
+    add(CatalogItem(
+        "corner-minmod-affine-dim-one",
+        min_modulus_corner(BlaschkeProduct(1.0, (lam,)), LaurentPoly(0, [0.3 - 0.2j, b])).value,
+        abs(b) * float(np.sqrt((1.0 - abs(lam)) * (1.0 + abs(lam)))),
+        1e-12,
+    ))
 
     sweep2 = galerkin_sweep(u_deg2, Z, [16, 64])
     add(CatalogItem("sweep-dual-shift-nonzero", sweep2[-1].value, oracle_m_dual_shift(u_deg2), 1e-12))

@@ -185,6 +185,19 @@ def test_sweep_refuses_a_block_above_the_byte_budget(monkeypatch, capsys):
     assert len(factorized) == 1
 
 
+def _run_under_a_2gib_cap(argv):
+    """``python -m dttokit`` with argv in a child limited to 2 GiB of address space."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "dttokit", *argv], env=env, preexec_fn=cap,
+        capture_output=True, text=True, timeout=10,
+    )
+
+
 def test_hostile_sweep_is_refused_before_any_window_under_an_address_space_cap():
     # n = 1e8 would window the step over [-2n, 2n], about 6 GB, before the
     # exact block check; the early check refuses it within the 2 GiB cap
@@ -193,16 +206,27 @@ def test_hostile_sweep_is_refused_before_any_window_under_an_address_space_cap()
         '{"from": 0.0, "to": 3.141592653589793, "value": [1, 0]},'
         '{"from": 3.141592653589793, "to": 6.283185307179586, "value": [-1, 0]}]}'
     )
-    argv = ["sweep", "--inner", U_HALF, "--symbol", step, "--truncations", "100000000"]
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = _run_under_a_2gib_cap(["sweep", "--inner", U_HALF, "--symbol", step, "--truncations", "100000000"])
+    assert proc.returncode == 3, proc.stderr
+    assert "over budget:" in proc.stderr
 
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "dttokit", *argv], env=env, preexec_fn=cap,
-        capture_output=True, text=True, timeout=10,
-    )
+@pytest.mark.parametrize(
+    "inner",
+    [
+        # 20000 zeros: a 20001 x 20001 long-double realization is 11.9 GiB
+        json.dumps({"kind": "blaschke_product", "zeros": [[0.5, 0.0]] * 20000}),
+        # 10^8 zeros at 0, refused before the zero tuple is built
+        '{"kind": "blaschke_quotient", "z_power": 100000000}',
+    ],
+    ids=["zeros", "z_power"],
+)
+def test_an_inner_function_over_the_degree_budget_is_refused_under_an_address_space_cap(tmp_path, inner):
+    path = tmp_path / "inner.json"
+    path.write_text(inner)
+    start = time.perf_counter()
+    proc = _run_under_a_2gib_cap(["minmod", "--inner", str(path), "--symbol", PHI_Z])
+    assert time.perf_counter() - start < 2.0
     assert proc.returncode == 3, proc.stderr
     assert "over budget:" in proc.stderr
 
@@ -292,12 +316,12 @@ def test_verify_clean_and_perturbed(capsys):
     assert main(["verify"]) == 0
     clean = capsys.readouterr().out
     assert "PASS" in clean and "FAIL" not in clean
-    assert clean.splitlines()[-1] == "56/56 checks passed"
+    assert clean.splitlines()[-1] == "57/57 checks passed"
     assert main(["verify", "--perturb-oracle", "1e-3"]) == 1
     perturbed = capsys.readouterr().out
     # every item can fail: each compares against a shifted oracle
     assert "PASS" not in perturbed
-    assert perturbed.splitlines()[-1] == "0/56 checks passed"
+    assert perturbed.splitlines()[-1] == "0/57 checks passed"
 
 
 # the catalog's item names: items may be added, none lost, renamed or doubled
@@ -312,6 +336,7 @@ CATALOG_NAMES = (
     "unimodular-shift-z2", "gram-route-shift-z2", "unimodular-own-symbol", "unimodular-constant",
     "gram-route-quotient-closed-form", "coanalytic-bounds-collapse", "coanalytic-exact-equality",
     "corner-minmod-multidim-shift", "corner-minmod-dim-one", "corner-shift-pythagoras",
+    "corner-minmod-affine-dim-one",
     "sweep-dual-shift-nonzero", "sweep-dual-shift-zero", "sweep-dual-shift-dim-one",
     "adjoint-minmod-compressed-shift", "adjoint-minmod-compressed-shift-star",
     "compressed-shift-near-circle", "compressed-shift-star-near-circle",
@@ -329,7 +354,7 @@ def test_catalog_builds_every_pinned_item_once():
     from dttokit.verify import build_catalog
 
     names = [item.name for item in build_catalog()]
-    assert len(CATALOG_NAMES) == 56
+    assert len(CATALOG_NAMES) == 57
     assert [names.count(name) for name in CATALOG_NAMES] == [1] * len(CATALOG_NAMES)
 
 

@@ -28,7 +28,7 @@ from dttokit import fourier
 from dttokit.fourier import _takenaka_windows
 from dttokit.minmod import MinModReport
 from dttokit.operators import OperatorMatrix, corner_gram, dual_truncated_toeplitz
-from dttokit.oracle import oracle_m_compressed_shift
+from dttokit.oracle import analytic_compressions, oracle_m_compressed_shift
 
 from conftest import random_blaschke, random_quotient
 from reference import reduced_min_modulus
@@ -219,13 +219,29 @@ def test_corner_analytic_route_matches_unimodular_for_inner(rng):
         u = random_blaschke(rng, max_degree=3, max_modulus=0.7)
         rep = min_modulus_corner(u, phi)
         assert abs(rep.value**2 - rep.oracle_value**2) <= 1e-7 + rep.entry_error_bound
-    # a non-unimodular analytic symbol takes the corner-Gram route alone
+    # a non-unimodular analytic symbol takes the realization route alone:
+    # G = A_{|phi|^2} - A_phi* A_phi, which the windowed corner Gram matches
     analytic = LaurentPoly(0, np.r_[0.25, 0.5])
     rep = min_modulus_corner(u, analytic)
-    g = corner_gram(tm_basis(u), analytic)
-    assert rep.value == np.sqrt(max(0.0, np.linalg.eigvalsh(g.entries)[0]))
-    assert rep.entry_error_bound == g.sv_perturbation()
+    a, a2 = analytic_compressions(u, analytic)
+    x = a.entries
+    g = a2.entries - x.conj().T @ x
+    assert rep.value == np.sqrt(max(0.0, np.linalg.eigvalsh(g)[0]))
+    fx, e, eps = np.linalg.norm(x), a.entry_error, np.finfo(float).eps
+    bound = a2.entry_error + e * (2 * fx + e) + eps * ((u.degree + 2) * fx * fx + np.linalg.norm(g))
+    assert rep.entry_error_bound == bound
+    windowed = corner_gram(tm_basis(u), analytic)
+    assert np.abs(g - windowed.entries).max() <= rep.entry_error_bound + windowed.sv_perturbation()
     assert rep.oracle_value is None
+
+
+def test_corner_of_an_analytic_symbol_near_the_circle_needs_no_window():
+    # the windowed route refused this u: its basis is wider than 2^20
+    r = 0.999999
+    _takenaka_windows.cache_clear()
+    rep = min_modulus_corner(BlaschkeProduct(1.0, (r,)), LaurentPoly(0, [0.25, 0.5]))
+    assert _takenaka_windows.cache_info()[:2] == (0, 0)
+    assert abs(rep.value - 0.5 * np.sqrt((1 - r) * (1 + r))) <= 1e-12
 
 
 def test_corner_factorizes_nothing_larger_than_the_model_space(monkeypatch):
@@ -424,13 +440,15 @@ def test_one_dispatch_builds_the_windows_of_each_zero_set_once():
 
 def test_inner_corner_builds_the_window_of_phi_once():
     u = BlaschkeProduct(1.0, (0.5, -0.3j))
+    # an analytic polynomial is read off u's realization: no window at all
     _takenaka_windows.cache_clear()
     min_modulus_corner(u, LaurentPoly(1, [0.3, 1.0]))
-    assert _takenaka_windows.cache_info()[:2] == (1, 1)
-    # phi = z b_0.3 is inner: the Gram route and A_phi share its window
+    assert _takenaka_windows.cache_info()[:2] == (0, 0)
+    # phi = z b_0.3 is inner: only the windowed cross-value builds u's basis
+    # and phi's window, once each (u's own window is a hit on the basis build)
     _takenaka_windows.cache_clear()
     min_modulus_corner(u, BlaschkeQuotient(1.0, 1, (0.3,)))
-    assert _takenaka_windows.cache_info()[:2] == (2, 2)
+    assert _takenaka_windows.cache_info()[:2] == (1, 2)
 
 
 def test_the_basis_gram_is_paired_once_per_build(monkeypatch):

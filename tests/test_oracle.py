@@ -30,12 +30,13 @@ from dttokit.fourier import (
     is_analytic,
     is_unimodular,
     symbol_to_window,
+    takenaka_realization,
     window_add,
     window_conjugate,
 )
-from dttokit.minmod import sigma_max
-from dttokit.operators import truncated_toeplitz
-from dttokit.oracle import _oracle_for, is_normal_sufficient_form
+from dttokit.minmod import min_modulus_corner, sigma_max
+from dttokit.operators import corner_gram, truncated_toeplitz
+from dttokit.oracle import _oracle_for, analytic_compressions, is_normal_sufficient_form
 
 from conftest import random_blaschke
 
@@ -550,3 +551,122 @@ def test_nested_piecewise_with_values_on_the_circle_is_unimodular(angles, wrappe
         values.append(v)
     core = PiecewiseArcs(((0.0, np.pi, values[0]), (np.pi, 2 * np.pi, values[1])))
     assert is_unimodular(_wrap(core, wrappers))
+
+
+# ---------------------------------------------------------------------------
+# functional calculus of the compressed shift
+
+
+def _lower_solve(m, b):
+    """m^{-1} b for lower triangular m, by forward substitution in the
+    dtype of its arguments."""
+    x = np.zeros_like(b)
+    for i in range(len(m)):
+        x[i] = (b[i] - m[i, :i] @ x[:i]) / m[i, i]
+    return x
+
+
+def _long_double_compressions(u, phi):
+    """(A_phi, A_{|phi|^2}) from the same algebra in long double: direct
+    powers of the realization's A_z, which is lower triangular, so every
+    solve is a substitution."""
+    a = takenaka_realization(u.zeros)[0]
+    d = len(a)
+    eye = np.eye(d, dtype=np.clongdouble)
+    powers = [eye]
+
+    def power(k):
+        while len(powers) <= k:
+            powers.append(powers[-1] @ a)
+        return powers[k]
+
+    if isinstance(phi, LaurentPoly):
+        c = phi.coeffs.astype(np.clongdouble)
+        n = len(c)
+        aphi = sum(cj * power(phi.offset + j) for j, cj in enumerate(c))
+        a2 = np.sum(np.abs(c) ** 2) * eye
+        for m in range(1, n):
+            r = np.sum(c[m:] * np.conj(c[: n - m]))
+            a2 = a2 + r * power(m) + np.conj(r) * power(m).conj().T
+        return aphi, a2
+    q, c = phi.term, np.clongdouble(phi.constant)
+    aq = np.clongdouble(q.constant) * power(q.z_power)
+    for v in q.zeros:
+        v = np.clongdouble(v)
+        aq = _lower_solve(eye - np.conj(v) * a, (a - v * eye) @ aq)
+    return aq + c * eye, (1 + abs(c) ** 2) * eye + np.conj(c) * aq + c * aq.conj().T
+
+
+def _norm2(x) -> float:
+    return float(np.linalg.norm(np.asarray(x, dtype=np.complex128), 2))
+
+
+_points = st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2 * np.pi))
+_coeff = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(lambda t: complex(*t))
+
+
+def _point(t):
+    return t[0] * np.exp(1j * t[1])
+
+
+@st.composite
+def _inner_functions(draw):
+    zeros = [_point(t) for t in draw(st.lists(_points, min_size=1, max_size=6))]
+    shape = draw(st.sampled_from(("plain", "repeated", "origin")))
+    if shape == "repeated":
+        zeros[-1] = zeros[0]
+    elif shape == "origin":
+        zeros[draw(st.integers(0, len(zeros) - 1))] = 0.0
+    return BlaschkeProduct(1.0, tuple(zeros))
+
+
+_laurent = st.builds(LaurentPoly, st.integers(0, 2), st.lists(_coeff, min_size=1, max_size=5))
+_quotients = st.builds(
+    lambda phase, p, zeros, c: SumConst(
+        BlaschkeQuotient(np.exp(1j * phase), p, tuple(_point((r * 0.9 / 0.95, t)) for r, t in zeros)), c
+    ),
+    st.floats(0.0, 2 * np.pi),
+    st.integers(0, 2),
+    st.lists(_points, min_size=1, max_size=3),
+    st.one_of(st.just(0j), _coeff),
+)
+
+
+@settings(max_examples=60)
+@given(u=_inner_functions(), phi=st.one_of(_laurent, _quotients))
+def test_analytic_compressions_are_bounded_against_long_double_and_windows(u, phi):
+    a, a2 = analytic_compressions(u, phi)
+    ref, ref2 = _long_double_compressions(u, phi)
+    # each bound covers the gap to the same algebra carried in long double
+    assert _norm2(a.entries - ref) <= a.entry_error
+    assert _norm2(a2.entries - ref2) <= a2.entry_error
+    g = a2.entries - a.entries.conj().T @ a.entries
+    rep = min_modulus_corner(u, phi, 1e-13)
+    if rep.oracle_value is None:
+        # the report's bound covers G; lambda_min moves by at most as much
+        # (plus the eigensolver's own roundoff, which the bound leaves out)
+        g_ref = ref2 - ref.conj().T @ ref
+        assert _norm2(g - g_ref) <= rep.entry_error_bound
+        lam = max(0.0, float(np.linalg.eigvalsh(np.asarray(g_ref, dtype=np.complex128))[0]))
+        slack = 4 * u.degree * np.finfo(float).eps * max(1.0, _norm2(g_ref))
+        assert abs(rep.value**2 - lam) <= rep.entry_error_bound + slack
+    # and G meets the windowed corner Gram entrywise within the combined budget
+    windowed = corner_gram(tm_basis(u, 1e-13), phi)
+    budget = rep.entry_error_bound + a2.entry_error + windowed.sv_perturbation()
+    assert np.abs(g - windowed.entries).max() <= budget
+
+
+def test_analytic_compressions_of_constants_and_the_shift_are_exact():
+    u = BlaschkeProduct(1.0, (0.5, -0.3j, 0.0))
+    az = takenaka_realization(u.zeros)[0].astype(np.complex128)
+    for phi in (constant_symbol(2 - 1j), PiecewiseArcs(((0.0, 2 * np.pi, 2 - 1j),))):
+        a, a2 = analytic_compressions(u, phi)
+        assert np.array_equal(a.entries, (2 - 1j) * np.eye(3)) and a.entry_error == 0.0
+        assert np.abs(a2.entries - 5 * np.eye(3)).max() <= a2.entry_error
+    a, a2 = analytic_compressions(u, Z)
+    assert np.array_equal(a.entries, az) and np.array_equal(a2.entries, np.eye(3))
+    # u(0) = 0 makes A_z singular; a quotient's solves never invert it
+    a, _ = analytic_compressions(u, BlaschkeQuotient(1.0, 0, (0.0,)))
+    assert np.allclose(a.entries, az, atol=1e-15)
+    with pytest.raises(SymbolClassError):
+        analytic_compressions(u, Conjugate(Z))
