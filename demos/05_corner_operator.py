@@ -15,7 +15,6 @@ from dttokit import (
     min_modulus_corner,
     min_modulus_unimodular,
     shift_symbol,
-    truncated_toeplitz_norm_hankel,
 )
 
 Z = shift_symbol(1)
@@ -39,8 +38,8 @@ for lam in (0.2, 0.5, 0.7):
     )
 print()
 
-print("Truncated Toeplitz norms via the Hankel matrix (Nehari route):")
+print("Truncated Toeplitz norms of inner symbols, |A_phi| = sqrt(1 - m(B_phi)^2):")
 u = BlaschkeProduct(1.0, (0.5,))
-print(f"  |A_z| on the b_0.5 space: {truncated_toeplitz_norm_hankel(u, Z):.10f}")
+print(f"  |A_z| on the b_0.5 space: {np.sqrt(1.0 - min_modulus_corner(u, Z).value ** 2):.10f}")
 u2 = BlaschkeProduct(1.0, (0.3, 0.6))
-print(f"  |A_u| (symbol divisible by u): {truncated_toeplitz_norm_hankel(u2, inner_symbol(u2))}")
+print(f"  |A_u| (symbol divisible by u): {np.sqrt(1.0 - min_modulus_corner(u2, inner_symbol(u2)).value ** 2)}")

@@ -46,7 +46,6 @@ from .oracle import (
     oracle_m_compressed_shift,
     oracle_m_dual_shift,
     oracle_rank_one_spectrum,
-    truncated_toeplitz_norm_hankel,
 )
 
 __version__ = "0.1.0"

@@ -32,10 +32,11 @@ _DIRECT_PRODUCT_MAX = 128
 # share, refused before they are built.  Zeros at modulus 0.9999 need about
 # 0.28M coefficients at tol 1e-12, whatever the degree.
 _MAX_WINDOW_WIDTH = 1 << 20
-# Largest realization, in bytes, that takenaka_realization builds: the same
-# 1 GiB as the Galerkin block budget.  Its peak holds about three d x d
-# long-double complex arrays, so degrees past 3344 are refused.
-_MAX_REALIZATION_BYTES = 1 << 30
+# Largest working set, in bytes, of takenaka_realization (about three d x d
+# long-double complex arrays, so at most 3344 zeros) and of the window
+# stack of _takenaka_windows (32 bytes per coefficient): the same 1 GiB as
+# the Galerkin block budget.
+_MAX_TAKENAKA_BYTES = 1 << 30
 # Largest tabulated FFT length.  The longest product the width refusal
 # admits is conj(u) phi e_k in the corner images, with u and e_k at most
 # _MAX_WINDOW_WIDTH + 1 coefficients long and a piecewise phi over twice
@@ -48,7 +49,7 @@ class SymbolClassError(ValueError):
 
 
 class BudgetError(SymbolClassError):
-    """Raised when a predicted window width or Galerkin block exceeds its budget."""
+    """Raised when a predicted window width or working set exceeds its budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +356,15 @@ class BlaschkeProduct:
         return window_scale(_blaschke_product_window(self.zeros, tol), self.unimodular_constant)
 
 
+def _check_bytes(nbytes: int, what: str):
+    """Refuse a working set above the byte budget before it is allocated."""
+    if nbytes > _MAX_TAKENAKA_BYTES:
+        raise BudgetError(f"predicted {what} of {nbytes} bytes exceeds {_MAX_TAKENAKA_BYTES}")
+
+
 def _check_degree(d: int):
-    """Refuse a realization of d zeros whose d x d arrays exceed the byte
-    budget, before anything of that size is allocated."""
-    nbytes = 3 * np.dtype(np.clongdouble).itemsize * d * d
-    if nbytes > _MAX_REALIZATION_BYTES:
-        raise BudgetError(
-            f"predicted realization of {nbytes} bytes for {d} zeros exceeds "
-            f"{_MAX_REALIZATION_BYTES}; inner function degree too high"
-        )
+    """Refuse a realization of d zeros over the byte budget."""
+    _check_bytes(3 * np.dtype(np.clongdouble).itemsize * d * d, f"{d}-zero realization")
 
 
 def takenaka_realization(zeros: tuple):
@@ -430,14 +431,17 @@ def _takenaka_windows(zeros: tuple, tol: float):
     two N at which every such tail meets the budget, about
     log(budget)/log(max |lam|) whatever the degree; N past
     _MAX_WINDOW_WIDTH is refused before anything of width N is
-    allocated.  The (d+1) x N stack is filled by doubling,
-    stack[:, k:2k] = M^k stack[:, :k], each square carried in long
-    double.  Element k is cut at the first index where its tail, the row
-    norm plus the stored coefficients past the cut, meets the budget, and
-    the stack rows are zeroed past their cuts; the coefficients that
-    vanish because zeros at 0 precede an element are exact zeros, which p
-    and the element's window (:meth:`FourierWindow.rows`) leave out of
-    their block, so every window holds its own support.
+    allocated, and so is a stack of 32 (d+1) N bytes (it and two float
+    arrays of its shape) over the byte budget, at the least N before any
+    squaring and again at the final N.  The (d+1) x N stack is filled
+    by doubling, stack[:, k:2k] = M^k stack[:, :k], each square carried
+    in long double.  Element k is cut at the first index where its tail,
+    the row norm plus the stored coefficients past the cut, meets the
+    budget, and the stack rows are zeroed past their cuts; the
+    coefficients that vanish because zeros at 0 precede an element are
+    exact zeros, which p and the element's window
+    (:meth:`FourierWindow.rows`) leave out of their block, so every
+    window holds its own support.
 
     Margin: each reported tail is that mass times
     1 + (_MAX_WINDOW_WIDTH + 2d + 2) eps, for the rounding of the sums,
@@ -466,6 +470,8 @@ def _takenaka_windows(zeros: tuple, tol: float):
     # norms of those squares at once
     r_max = max(map(abs, zeros))
     reach = min(math.log(budget) / math.log(r_max) if r_max > 0 else 0.0, _MAX_WINDOW_WIDTH)
+    n = 1 << (max(math.ceil(reach), 1) - 1).bit_length()
+    _check_bytes(32 * d1 * n, f"{d1} x {n} window stack")
     squares = [np.conj(a)]
     while 1 << (len(squares) - 1) < reach:
         squares.append(squares[-1] @ squares[-1])
@@ -484,6 +490,7 @@ def _takenaka_windows(zeros: tuple, tol: float):
     err = _power_error(fros, eta, gamma)
 
     n = 1 << (len(squares) - 1)
+    _check_bytes(32 * d1 * n, f"{d1} x {n} window stack")
     stack = np.empty((d1, n), dtype=np.complex128)
     stack[:, 0] = e0
     for j, sq in enumerate(np.array(squares[:-1], dtype=np.complex128)):
@@ -491,9 +498,9 @@ def _takenaka_windows(zeros: tuple, tol: float):
         np.matmul(sq, stack[:, :k], out=stack[:, k : 2 * k])
 
     # dropped[k, L - 1]: the mass of the last L stored coefficients of row k
-    squared = stack.real**2
-    squared += stack.imag**2
-    dropped = np.cumsum(squared[:, ::-1], axis=1)
+    dropped = stack.real[:, ::-1] ** 2
+    dropped += stack.imag[:, ::-1] ** 2
+    np.cumsum(dropped, axis=1, out=dropped)
     rooms = ((budget - err) / slack) ** 2 - rows**2
     offsets = list(itertools.accumulate((z == 0 for z in zeros), initial=0))
     cuts, tails = [], []
@@ -502,6 +509,7 @@ def _takenaka_windows(zeros: tuple, tol: float):
         omitted = tail_n**2 + (drop[n - cut - 1] if cut < n else 0.0)
         cuts.append(cut)
         tails.append(math.sqrt(omitted) * slack + err)
+    del dropped, drop  # the float arrays go before the copies below
     # copies, so that no kept window holds on to the doubling stack
     p = FourierWindow(offsets[-1], stack[-1, offsets[-1] : cuts[-1]].copy(), tails[-1])
     elements = stack[:-1, : max(cuts[:-1])].copy()

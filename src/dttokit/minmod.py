@@ -18,7 +18,6 @@ from .fourier import (
     SymbolClassError,
     SymbolExpr,
     conjugated,
-    is_analytic,
     is_unimodular,
 )
 from .modelspace import tm_basis
@@ -164,33 +163,23 @@ def min_modulus_bounds(
 def min_modulus_corner(
     u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12
 ) -> MinModReport:
-    """Minimum modulus of the corner operator B_phi = P_{K_u^perp} M_phi |_{K_u}.
+    """Minimum modulus of the corner operator B_phi = P_{K_u^perp} M_phi |_{K_u}
+    for analytic phi; any other symbol raises SymbolClassError.
 
-    Analytic phi: B_phi* B_phi = G = A_{|phi|^2} - A_phi* A_phi, both
-    compressions d x d functions of the compressed shift
-    (:func:`analytic_compressions`), so no window is built.  The value is
-    sqrt(lambda_min(G)), or, for inner phi, sqrt(1 - sigma_max(A_phi)^2),
-    with the windowed corner Gram at ``tol`` attached as the oracle
-    cross-value.  entry_error bounds ||G - fl(G)||_2, so lambda_min, not
-    its square root: with e and e2 the bounds of A_phi and A_{|phi|^2},
+    B_phi* B_phi = G = A_{|phi|^2} - A_phi* A_phi, both compressions d x d
+    functions of the compressed shift (:func:`analytic_compressions`), so
+    no window is built.  The value is sqrt(lambda_min(G)), or, for inner
+    phi, sqrt(1 - sigma_max(A_phi)^2), with the windowed corner Gram at
+    ``tol`` attached as the oracle cross-value.  entry_error bounds
+    ||G - fl(G)||_2, so lambda_min, not its square root: with e and e2
+    the bounds of A_phi and A_{|phi|^2},
     e2 + e (2 ||A_phi||_F + e) + (d + 2) eps ||A_phi||_F^2 + eps ||G||_F
     for the product and the difference, and e (2 sigma_max + e) for
     inner phi.  The eigensolver's own roundoff is not in it.
-
-    Unimodular, non-analytic phi: sqrt(1 - |A_phi|^2) from the windowed
-    truncated Toeplitz matrix, with its entry error.
     """
-    unimod = is_unimodular(phi)
-    if not is_analytic(phi):
-        if not unimod:
-            raise SymbolClassError("corner route requires a unimodular or analytic symbol")
-        a = truncated_toeplitz(tm_basis(u, tol), phi)
-        s = sigma_max(a)
-        value = float(np.sqrt(max(0.0, 1.0 - s * s)))
-        return MinModReport(value, "finite_exact", None, a.sv_perturbation(), quantity="m(B_phi)")
     a, a2 = analytic_compressions(u, phi)
     e = a.entry_error
-    if unimod:
+    if is_unimodular(phi):
         s = sigma_max(a)
         value = float(np.sqrt(max(0.0, 1.0 - s * s)))
         g = corner_gram(tm_basis(u, tol), phi)

@@ -35,18 +35,18 @@ from .fourier import (
 )
 from .modelspace import ModelBasis
 
-# Largest dual truncated Toeplitz block, in bytes, that
-# dual_truncated_toeplitz plans; a larger one is refused before any block
-# of the schedule is allocated.
+# Largest Galerkin block that dual_truncated_toeplitz plans, in bytes with
+# the copy the SVD factorizes; a larger one is refused before any block of
+# the schedule is allocated.
 _MAX_BLOCK_BYTES = 1 << 30
 
 
 def _check_block_bytes(rows: int, cols: int):
-    nbytes = 16 * rows * cols  # complex128 entries
+    nbytes = 2 * 16 * rows * cols  # complex128 entries and the SVD's copy
     if nbytes > _MAX_BLOCK_BYTES:
         raise BudgetError(
-            f"predicted Galerkin block of {nbytes} bytes exceeds {_MAX_BLOCK_BYTES}; "
-            "use smaller truncations"
+            f"predicted Galerkin block of {nbytes} bytes, SVD copy included, exceeds "
+            f"{_MAX_BLOCK_BYTES}; use smaller truncations"
         )
 
 

@@ -4,10 +4,10 @@ Every computation the theorems pin down exactly lives here, so numeric
 results elsewhere can be tagged with an oracle value: the minimum moduli
 of the compressed shift and its dual in terms of |u(0)|, rank-one
 spectra, normal-symbol bounds through the essential range, and the
-Hankel (Nehari) route to truncated Toeplitz norms.  Analytic symbols
-also get their compressions as functions of the compressed shift
-(Sarason's functional calculus), which the corner route reads in place
-of windows.
+divisibility of a symbol by u.  Analytic symbols also get their
+compressions as functions of the compressed shift (Sarason's functional
+calculus), so the corner route and the truncated Toeplitz norm
+||A_phi|| = sigma_max(A_phi) are read off u's realization, not windows.
 """
 
 import math
@@ -26,12 +26,9 @@ from .fourier import (
     constant_value,
     eval_symbol,
     is_analytic,
-    window_conjugate,
-    window_multiply,
-    symbol_to_window,
     _fold_wrappers,
 )
-from .operators import OperatorMatrix, compressed_shift, _hankel_view
+from .operators import OperatorMatrix, compressed_shift
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +170,7 @@ def normal_dtto_bounds(phi: SymbolExpr):
 
 
 # ---------------------------------------------------------------------------
-# Nehari route for truncated Toeplitz norms
+# divisibility by u
 
 
 def _divides(u: BlaschkeProduct, phi: BlaschkeQuotient) -> bool:
@@ -187,31 +184,6 @@ def _divides(u: BlaschkeProduct, phi: BlaschkeQuotient) -> bool:
             return False
         pool.pop(hit)
     return True
-
-
-def truncated_toeplitz_norm_hankel(
-    u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12
-) -> float:
-    """|A_phi| for analytic phi, as sigma_max of the Hankel matrix of
-    conj(u) phi (the L-infinity distance from conj(u) phi to H^infinity by
-    the Nehari theorem).
-
-    With W the top index of u's window, conj(u) phi has no coefficient
-    below -W, so the Hankel of side W + 1 holds all of it and the value is
-    exact up to u's window tail; a symbol that folds to a Blaschke quotient
-    divisible by u gives exactly 0.  The SVD costs O(W^3), so only the
-    catalog, the demos and the tests read this route.
-    """
-    if not is_analytic(phi):
-        raise SymbolClassError("the Hankel norm route requires an analytic symbol")
-    quot = as_blaschke_quotient(phi)
-    if quot is not None and _divides(u, quot):
-        return 0.0
-    uw = u.window(tol)
-    w = window_multiply(window_conjugate(uw), symbol_to_window(phi, -1, uw.hi, tol))
-    side = uw.hi + 1
-    h = _hankel_view(w, -(2 * side - 1), side, side)[::-1, ::-1]
-    return float(np.linalg.svd(h, compute_uv=False)[0])
 
 
 def _oracle_for(u: Optional[BlaschkeProduct], phi: SymbolExpr) -> Optional[float]:

@@ -42,15 +42,16 @@ from .minmod import (
     min_modulus_corner,
     min_modulus_toeplitz_hankel,
     min_modulus_unimodular,
+    sigma_max,
     sigma_min,
 )
 from .oracle import (
+    analytic_compressions,
     ess_range,
     normal_dtto_bounds,
     oracle_m_compressed_shift,
     oracle_m_dual_shift,
     oracle_rank_one_spectrum,
-    truncated_toeplitz_norm_hankel,
     _oracle_for,
 )
 
@@ -359,15 +360,16 @@ def build_catalog() -> List[CatalogItem]:
         "normal-bounds-conjugate-shifted-cosine-exact", exact(Conjugate(shifted_cosine)), 0.0, 1e-12
     ))
 
+    # |A_phi| = sigma_max(phi(A_z)), which Nehari's theorem reads off a Hankel
     add(CatalogItem(
         "nehari-own-symbol",
-        truncated_toeplitz_norm_hankel(u_deg2, inner_symbol(u_deg2)),
+        sigma_max(analytic_compressions(u_deg2, inner_symbol(u_deg2))[0]),
         0.0,
         1e-14,
     ))
     add(CatalogItem(
         "nehari-shift-dim-one",
-        truncated_toeplitz_norm_hankel(u_half, Z),
+        sigma_max(analytic_compressions(u_half, Z)[0]),
         0.5,
         1e-10,
     ))

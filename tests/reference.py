@@ -2,15 +2,25 @@
 
 None of them is on a route of the library: the Blaschke-factor and
 geometric expansions (from doubled powers), window difference and
-evaluation, the reduced minimum modulus with its rank cutoff, and the
-matrix of the conjugation f -> u conj(z f) on K_u^perp.
+evaluation, the reduced minimum modulus with its rank cutoff, the
+matrix of the conjugation f -> u conj(z f) on K_u^perp, and the Hankel
+(Nehari) route to truncated Toeplitz norms.
 """
 
 import warnings
 
 import numpy as np
 
-from dttokit.fourier import FourierWindow, delta_window, window_add, window_scale
+from dttokit.fourier import (
+    FourierWindow,
+    delta_window,
+    symbol_to_window,
+    window_add,
+    window_conjugate,
+    window_multiply,
+    window_scale,
+)
+from dttokit.operators import _hankel_view
 
 RANK_TOL = 1e-8
 
@@ -109,3 +119,19 @@ def conjugation_action(n: int) -> np.ndarray:
     m[:n, n:] = eye
     m[n:, :n] = eye
     return m
+
+
+def truncated_toeplitz_norm_hankel(u, phi, tol: float = 1e-12) -> float:
+    """|A_phi| for analytic phi, as sigma_max of the Hankel matrix of
+    conj(u) phi (the L-infinity distance from conj(u) phi to H^infinity by
+    the Nehari theorem).
+
+    With W the top index of u's window, conj(u) phi has no coefficient
+    below -W, so the Hankel of side W + 1 holds all of it and the value is
+    exact up to u's window tail.  The SVD costs O(W^3).
+    """
+    uw = u.window(tol)
+    w = window_multiply(window_conjugate(uw), symbol_to_window(phi, -1, uw.hi, tol))
+    side = uw.hi + 1
+    h = _hankel_view(w, -(2 * side - 1), side, side)[::-1, ::-1]
+    return float(np.linalg.svd(h, compute_uv=False)[0])

@@ -172,7 +172,7 @@ def test_removed_route_overrides_are_refused(capsys):
 
 
 def test_sweep_refuses_a_block_above_the_byte_budget(monkeypatch, capsys):
-    # the n = 64 block would take about 0.26 MB; n = 8 fits
+    # the n = 64 block and its SVD copy would take about 0.53 MB; n = 8 fits
     monkeypatch.setattr(operators, "_MAX_BLOCK_BYTES", 200_000)
     factorized = []
     monkeypatch.setattr(minmod, "sigma_min", lambda block: factorized.append(block) or 0.0)
@@ -211,6 +211,15 @@ def test_hostile_sweep_is_refused_before_any_window_under_an_address_space_cap()
     assert "over budget:" in proc.stderr
 
 
+def test_a_block_whose_svd_copy_breaks_the_byte_budget_is_refused_under_an_address_space_cap():
+    # the n = 4000 block alone takes 1.02e9 bytes, and the SVD copies it
+    start = time.perf_counter()
+    proc = _run_under_a_2gib_cap(["sweep", "--inner", U_HALF, "--symbol", PHI_Z, "--truncations", "4000"])
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 3, proc.stderr
+    assert "over budget: predicted Galerkin block of 2048000000 bytes, SVD copy included" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "inner",
     [
@@ -218,8 +227,13 @@ def test_hostile_sweep_is_refused_before_any_window_under_an_address_space_cap()
         json.dumps({"kind": "blaschke_product", "zeros": [[0.5, 0.0]] * 20000}),
         # 10^8 zeros at 0, refused before the zero tuple is built
         '{"kind": "blaschke_quotient", "z_power": 100000000}',
+        # 200 zeros at 0.9999: a 201 x 2^19 window stack at tol 1e-9,
+        # 3.4 GB with its two float arrays
+        json.dumps({"kind": "blaschke_product", "zeros": [
+            [0.9999 * np.cos(t), 0.9999 * np.sin(t)] for t in 2 * np.pi * np.arange(200) / 200
+        ]}),
     ],
-    ids=["zeros", "z_power"],
+    ids=["zeros", "z_power", "window_stack"],
 )
 def test_an_inner_function_over_the_degree_budget_is_refused_under_an_address_space_cap(tmp_path, inner):
     path = tmp_path / "inner.json"

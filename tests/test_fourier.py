@@ -13,10 +13,12 @@ from dttokit import (
     constant_symbol,
     shift_symbol,
 )
+from dttokit import fourier
 from dttokit.fourier import (
     _DIRECT_PRODUCT_MAX,
     _FFT_TABLE_MAX,
     _MAX_WINDOW_WIDTH,
+    BudgetError,
     FourierWindow,
     _coeffs_over,
     _fft_length,
@@ -454,6 +456,25 @@ def test_kept_windows_own_their_coefficients():
         for part in (project_analytic(f), project_antianalytic(f)):
             assert not np.shares_memory(part.coeffs, f.coeffs)
             assert _owner(part.coeffs).nbytes == part.coeffs.nbytes
+
+
+def test_window_stack_is_refused_above_the_byte_budget(monkeypatch):
+    # the (d + 1) x N stack and two float arrays of its shape take
+    # 32 (d + 1) N bytes; a repeated zero at 0.9 needs N = 512, twice the
+    # least N of 256 that log(budget)/log(0.9) allows
+    zeros, tol = (0.9,) * 4, 1e-9
+    _takenaka_windows.cache_clear()
+    elements, p = _takenaka_windows(zeros, tol)
+    assert 256 < p.coeffs.shape[-1] <= 512
+    for budget, n in ((32 * 5 * 256 - 1, 256), (32 * 5 * 512 - 1, 512)):
+        monkeypatch.setattr(fourier, "_MAX_TAKENAKA_BYTES", budget)
+        _takenaka_windows.cache_clear()
+        with pytest.raises(BudgetError, match=f"5 x {n} window stack of {32 * 5 * n} bytes exceeds {budget}"):
+            _takenaka_windows(zeros, tol)
+    monkeypatch.setattr(fourier, "_MAX_TAKENAKA_BYTES", 32 * 5 * 512)
+    _takenaka_windows.cache_clear()
+    assert np.array_equal(_takenaka_windows(zeros, tol)[1].coeffs, p.coeffs)
+    _takenaka_windows.cache_clear()
 
 
 def test_fft_length_is_smallest_5_smooth_at_least_n():

@@ -32,7 +32,6 @@ KNOWN_PRIVATE_IMPORTS = {
     ("modelspace", "fourier", "_takenaka_windows"),
     ("operators", "fourier", "_coeffs_over"),
     ("oracle", "fourier", "_fold_wrappers"),
-    ("oracle", "operators", "_hankel_view"),
     ("verify", "oracle", "_oracle_for"),
 }
 
@@ -45,7 +44,7 @@ KNOWN_PUBLIC_NAMES = {
     "min_modulus_corner", "min_modulus_toeplitz_hankel", "min_modulus_unimodular",
     "normal_dtto_bounds", "oracle_m_compressed_shift", "oracle_m_dual_shift",
     "oracle_rank_one_spectrum", "shift_symbol", "sigma_min", "symbol_from_json",
-    "symbol_to_json", "tm_basis", "truncated_toeplitz_norm_hankel",
+    "symbol_to_json", "tm_basis",
 }
 
 

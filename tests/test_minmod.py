@@ -262,9 +262,11 @@ def test_corner_factorizes_nothing_larger_than_the_model_space(monkeypatch):
 
 
 def test_corner_rejects_other_classes():
+    # the corner route takes analytic symbols only, unimodular ones included
     u = BlaschkeProduct(1.0, (0.5,))
-    with pytest.raises(SymbolClassError):
-        min_modulus_corner(u, LaurentPoly(-1, [1.0, 0.0, 1.0]))
+    for phi in (LaurentPoly(-1, [1.0, 0.0, 1.0]), Conjugate(Z), BlaschkeQuotient(1.0, -1, (0.3,))):
+        with pytest.raises(SymbolClassError):
+            min_modulus_corner(u, phi)
 
 
 # ---------------------------------------------------------------------------

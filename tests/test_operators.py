@@ -16,7 +16,7 @@ from dttokit import (
     sigma_min,
     tm_basis,
 )
-from dttokit import operators, oracle
+from dttokit import operators
 from dttokit.fourier import (
     _DIRECT_PRODUCT_MAX,
     BudgetError,
@@ -44,8 +44,9 @@ from dttokit.operators import (
     _hankel_view,
     _symbol_window_for_basis,
 )
-from dttokit.oracle import oracle_rank_one_spectrum, truncated_toeplitz_norm_hankel
+from dttokit.oracle import oracle_rank_one_spectrum
 
+import reference
 from conftest import random_blaschke, random_quotient
 from reference import conjugation_action
 
@@ -377,25 +378,34 @@ def test_dtto_block_offdiagonal_vanishes_at_origin_zero():
 
 
 def test_dtto_block_is_refused_above_the_byte_budget(monkeypatch):
-    # a block of rows x cols complex entries takes 16 rows cols bytes; the
-    # shift reaches one analytic row past the 2n x 2n square compression
+    # a block of rows x cols complex entries takes 16 rows cols bytes, and
+    # the SVD factorizes a copy of it: 32 rows cols in all; the shift
+    # reaches one analytic row past the 2n x 2n square compression
     u = BlaschkeProduct(1.0, (0.5,))
     assert [d.shape for d in dual_truncated_toeplitz(u, Z, [16, 17])] == [(33, 32), (35, 34)]
-    # a budget of exactly the n = 16 block admits it and refuses n = 17
-    # before any block of the schedule is allocated, from its least size
-    budget = 16 * 33 * 32
+    # a budget of exactly the n = 16 block and its copy admits it and
+    # refuses n = 17 before any block of the schedule is allocated, from
+    # its least size
+    budget = 32 * 33 * 32
     monkeypatch.setattr(operators, "_MAX_BLOCK_BYTES", budget)
     assert next(dual_truncated_toeplitz(u, Z, [16])).shape == (33, 32)
-    with pytest.raises(SymbolClassError, match=f"block of {16 * 34 * 34} bytes exceeds {budget}"):
+    refused = "block of {} bytes, SVD copy included, exceeds {}"
+    with pytest.raises(SymbolClassError, match=refused.format(32 * 34 * 34, budget)):
         dual_truncated_toeplitz(u, Z, [1, 17])
+    # the n = 16 block alone would fit this budget; with its copy it does not
+    budget = 32 * 32 * 32
+    monkeypatch.setattr(operators, "_MAX_BLOCK_BYTES", budget)
+    assert 16 * 33 * 32 < budget
+    with pytest.raises(SymbolClassError, match=refused.format(32 * 33 * 32, budget)):
+        dual_truncated_toeplitz(u, Z, [16])
     # a budget of exactly the n = 17 square passes the least size and
     # refuses the block's real size
-    budget = 16 * 34 * 34
+    budget = 32 * 34 * 34
     monkeypatch.setattr(operators, "_MAX_BLOCK_BYTES", budget)
-    with pytest.raises(SymbolClassError, match=f"block of {16 * 35 * 34} bytes exceeds {budget}"):
+    with pytest.raises(SymbolClassError, match=refused.format(32 * 35 * 34, budget)):
         dual_truncated_toeplitz(u, Z, [1, 17])
     # the sweep refuses through the same plan
-    with pytest.raises(SymbolClassError, match=f"block of {16 * 35 * 34} bytes"):
+    with pytest.raises(SymbolClassError, match=f"block of {32 * 35 * 34} bytes"):
         galerkin_sweep(u, Z, [1, 17], 1e-12)
 
 
@@ -499,10 +509,10 @@ def _padded_symbol_to_window(phi, lo, hi, tol):
 
 
 def _padded(fn, *args):
-    """fn(*args) with every symbol window the operators and the oracle
-    read zero-padded to the requested index range."""
+    """fn(*args) with every symbol window the operators and the Hankel
+    reference read zero-padded to the requested index range."""
     with pytest.MonkeyPatch.context() as mp:
-        for module in (operators, oracle):
+        for module in (operators, reference):
             mp.setattr(module, "symbol_to_window", _padded_symbol_to_window)
         return fn(*args)
 
@@ -539,8 +549,8 @@ def test_trimmed_symbol_windows_give_the_padded_results(u, phi, n):
     assert trimmed.entry_error_bound <= (1 + 4 * EPS) * padded.entry_error_bound
     if is_analytic(phi):
         args = (u, phi, tol)
-        trimmed = truncated_toeplitz_norm_hankel(*args)
-        padded = _padded(truncated_toeplitz_norm_hankel, *args)
+        trimmed = reference.truncated_toeplitz_norm_hankel(*args)
+        padded = _padded(reference.truncated_toeplitz_norm_hankel, *args)
         assert abs(trimmed - padded) <= 1e-13 * max(1.0, padded)
 
 
