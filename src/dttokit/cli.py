@@ -1,7 +1,8 @@
 """Command-line front end: single computations, sweeps, verification.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 unsupported symbol class or over budget.
+Exit codes: 0 success, 1 verification or numerical failure (routes that
+disagree, a non-finite error bound), 2 malformed input, 3 unsupported
+symbol class or over budget.
 """
 
 import argparse
@@ -11,6 +12,8 @@ import os
 import sys
 from dataclasses import replace
 from typing import Optional
+
+from numpy.linalg import LinAlgError
 
 from .fourier import (
     BlaschkeProduct,
@@ -59,7 +62,7 @@ def dispatch_minmod(
 
     Order: constant symbols resolve exactly; unimodular symbols use the
     finite model-space reduction (cross-checked against the corner-Gram
-    route); analytic non-unimodular symbols fall back to the corner
+    route, or the Sarason dual for the powers of z and zbar); analytic non-unimodular symbols fall back to the corner
     operator (the reported quantity is then m(B_phi)); symbols of the
     normal sufficient form get essential-range bounds.  The closed-form
     value, where one applies, is attached to the report as its oracle.
@@ -229,6 +232,10 @@ def main(argv=None) -> int:
     except SymbolClassError as exc:
         print(f"unsupported symbol class: {exc}", file=sys.stderr)
         return 3
+    except (ArithmeticError, RuntimeError, LinAlgError) as exc:
+        # LinAlgError is a ValueError, but no input error
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

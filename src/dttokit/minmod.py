@@ -17,7 +17,10 @@ from .fourier import (
     BlaschkeProduct,
     SymbolClassError,
     SymbolExpr,
+    as_blaschke_quotient,
     conjugated,
+    inner_symbol,
+    is_analytic,
     is_unimodular,
 )
 from .modelspace import tm_basis
@@ -28,7 +31,7 @@ from .operators import (
     dual_truncated_toeplitz,
     truncated_toeplitz,
 )
-from .oracle import analytic_compressions
+from .oracle import analytic_compressions, taylor_toeplitz
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,16 @@ def _require_unimodular(phi: SymbolExpr):
         raise SymbolClassError("this route requires a unimodular symbol")
 
 
+def _shift_power(u: BlaschkeProduct, phi: SymbolExpr) -> int:
+    """p when phi is c z^p or c zbar^p with 1 <= p <= deg u, else 0.
+    Those symbols are read off u's realization and Taylor coefficients;
+    for p > deg u the dual problem would be the larger one."""
+    q = as_blaschke_quotient(phi)
+    if q is None or q.zeros or not 1 <= abs(q.z_power) <= u.degree:
+        return 0
+    return abs(q.z_power)
+
+
 def min_modulus_unimodular(
     u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12
 ) -> MinModReport:
@@ -114,8 +127,16 @@ def min_modulus_unimodular(
     Isometry of M_phi gives m(D_phi) = m(A_{conj(phi)}), so the value is
     the smallest singular value of the truncated Toeplitz matrix of
     conj(phi) on the model space: a dim x dim computation, no truncation.
+    For phi = c z^p or c zbar^p with 1 <= p <= deg u that matrix is
+    theta(A_z) for the analytic one, theta = c z^p, read off u's
+    realization (:func:`analytic_compressions`) with no window, and
+    entry_error is its roundoff bound; every other symbol is paired
+    against the Takenaka-Malmquist windows at ``tol``.
     """
     _require_unimodular(phi)
+    if _shift_power(u, phi):
+        a = analytic_compressions(u, phi if is_analytic(phi) else conjugated(phi))[0]
+        return MinModReport(sigma_min(a), "finite_exact", None, a.entry_error)
     basis = tm_basis(u, tol)
     a = truncated_toeplitz(basis, conjugated(phi))
     return MinModReport(sigma_min(a), "finite_exact", None, a.sv_perturbation())
@@ -129,9 +150,17 @@ def min_modulus_toeplitz_hankel(
     Computes sqrt(1 - lambda_max(G)) where G is the Gram of the images
     (T_{conj(u phi)} e_k, H_{conj(phi)} e_k).  Independent of
     :func:`min_modulus_unimodular`; the two must agree within the
-    combined entry error.
+    combined entry error.  For phi = c z^p or c zbar^p with
+    1 <= p <= deg u it is instead the Sarason dual
+    sigma_min(theta(S_u)) = sigma_min(u(S_theta)), theta = z^p: the
+    smallest singular value of the p x p Toeplitz matrix of u's first p
+    Taylor coefficients (:func:`taylor_toeplitz`), |u(0)| for p = 1.
     """
     _require_unimodular(phi)
+    p = _shift_power(u, phi)
+    if p:
+        t = taylor_toeplitz(u, p)
+        return MinModReport(sigma_min(t), "finite_exact", None, t.entry_error)
     basis = tm_basis(u, tol)
     g = corner_gram(basis, conjugated(phi))
     lam_max = float(np.linalg.eigvalsh(g.entries)[-1])
@@ -160,6 +189,27 @@ def min_modulus_bounds(
     return lower, upper
 
 
+def _inner_corner_cross(u: BlaschkeProduct, theta: SymbolExpr, tol: float) -> float:
+    """m(B_theta) for inner theta by a route that does not read A_theta.
+
+    B* B = P_u P_theta |_{K_u} has rank at most deg theta, so it is 0
+    when deg theta < deg u.  At equal degrees P_u P_theta P_u and
+    P_theta P_u P_theta share their spectrum, so it is
+    sqrt(1 - sigma_max(u(S_theta))^2), u(S_theta) the compression of u
+    to K_theta.  Above deg u the windowed corner Gram at ``tol``.
+    """
+    q = as_blaschke_quotient(theta)  # None only for a constant piecewise theta
+    deg = 0 if q is None else q.z_power + len(q.zeros)
+    if deg < u.degree:
+        return 0.0
+    if deg == u.degree:
+        dual = analytic_compressions(BlaschkeProduct(1.0, q.zeros + (0j,) * q.z_power), inner_symbol(u))[0]
+        s = sigma_max(dual)
+        return float(np.sqrt(max(0.0, 1.0 - s * s)))
+    g = corner_gram(tm_basis(u, tol), theta)
+    return float(np.sqrt(max(0.0, float(np.linalg.eigvalsh(g.entries)[0]))))
+
+
 def min_modulus_corner(
     u: BlaschkeProduct, phi: SymbolExpr, tol: float = 1e-12
 ) -> MinModReport:
@@ -169,10 +219,11 @@ def min_modulus_corner(
     B_phi* B_phi = G = A_{|phi|^2} - A_phi* A_phi, both compressions d x d
     functions of the compressed shift (:func:`analytic_compressions`), so
     no window is built.  The value is sqrt(lambda_min(G)), or, for inner
-    phi, sqrt(1 - sigma_max(A_phi)^2), with the windowed corner Gram at
-    ``tol`` attached as the oracle cross-value.  entry_error bounds
-    ||G - fl(G)||_2, so lambda_min, not its square root: with e and e2
-    the bounds of A_phi and A_{|phi|^2},
+    phi, sqrt(1 - sigma_max(A_phi)^2), with a cross-value attached as the
+    oracle: 0 when deg phi < deg u, the Sarason dual when the degrees
+    are equal (no window either way), else the windowed corner Gram at
+    ``tol``.  entry_error bounds ||G - fl(G)||_2, so lambda_min, not its
+    square root: with e and e2 the bounds of A_phi and A_{|phi|^2},
     e2 + e (2 ||A_phi||_F + e) + (d + 2) eps ||A_phi||_F^2 + eps ||G||_F
     for the product and the difference, and e (2 sigma_max + e) for
     inner phi.  The eigensolver's own roundoff is not in it.
@@ -182,8 +233,7 @@ def min_modulus_corner(
     if is_unimodular(phi):
         s = sigma_max(a)
         value = float(np.sqrt(max(0.0, 1.0 - s * s)))
-        g = corner_gram(tm_basis(u, tol), phi)
-        cross = float(np.sqrt(max(0.0, float(np.linalg.eigvalsh(g.entries)[0]))))
+        cross = _inner_corner_cross(u, phi, tol)
         return MinModReport(value, "finite_exact", None, float(e * (2.0 * s + e)), cross, "m(B_phi)")
     x = a.entries
     g = a2.entries - x.conj().T @ x

@@ -66,8 +66,11 @@ class OperatorMatrix:
         arr = np.asarray(self.entries, dtype=np.complex128).view()
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("matrix entries must form a nonempty 2-D array")
-        if not (np.isfinite(self.entry_error) and self.entry_error >= 0.0):
-            raise ValueError("entry_error must be finite and nonnegative")
+        if not np.isfinite(self.entry_error):
+            # a bound that overflowed is a numerical failure, not bad input
+            raise FloatingPointError(f"entry_error is not finite: {self.entry_error!r}")
+        if not self.entry_error >= 0.0:
+            raise ValueError("entry_error must be nonnegative")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "entry_error", float(self.entry_error))

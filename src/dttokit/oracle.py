@@ -6,8 +6,10 @@ of the compressed shift and its dual in terms of |u(0)|, rank-one
 spectra, normal-symbol bounds through the essential range, and the
 divisibility of a symbol by u.  Analytic symbols also get their
 compressions as functions of the compressed shift (Sarason's functional
-calculus), so the corner route and the truncated Toeplitz norm
-||A_phi|| = sigma_max(A_phi) are read off u's realization, not windows.
+calculus), so the corner route, the powers of z and the truncated
+Toeplitz norm ||A_phi|| = sigma_max(A_phi) are read off u's realization,
+not windows; u's Taylor coefficients give the Sarason dual that
+cross-checks the powers of z.
 """
 
 import math
@@ -192,10 +194,13 @@ def _oracle_for(u: Optional[BlaschkeProduct], phi: SymbolExpr) -> Optional[float
     if c is not None:
         return abs(c)
     quot = None if u is None or u.degree < 1 else as_blaschke_quotient(phi)
-    if quot is None or quot.z_power < 0:
+    if quot is None:
         return None
-    if quot.z_power == 1 and not quot.zeros:
+    if abs(quot.z_power) == 1 and not quot.zeros:
+        # m(D_zbar) = m(A_z) as well, since zbar is unimodular
         return oracle_m_dual_shift(u)
+    if quot.z_power < 0:
+        return None
     return 0.0 if _divides(u, quot) else None
 
 
@@ -267,8 +272,9 @@ def analytic_compressions(u: BlaschkeProduct, phi: SymbolExpr):
       over Horner's partial sums Q_j = sum_{k>=j} c_k A_z^(k-j): one
       pass of n steps gives both, A_{|phi|^2} = S + S* - r_0 I;
     * c + q, q = kappa z^p prod_v b_v with zeros: A_q = kappa A_z^p
-      prod_v (I - conj(v) A_z)^{-1} (A_z - v I), by solves (A_z itself is
-      singular when u(0) = 0), A_phi = A_q + c I and
+      prod_v b_v(A_z), each factor b_v(A_z) = (I - conj(v) A_z)^{-1}
+      (A_z - v I) by its own solve (A_z itself is singular when
+      u(0) = 0) and multiplied in on the left, A_phi = A_q + c I and
       A_{|phi|^2} = (1 + |c|^2) I + conj(c) A_q + c A_q*.
 
     Each matrix's entry_error bounds the 2-norm of its roundoff, so every
@@ -281,9 +287,13 @@ def analytic_compressions(u: BlaschkeProduct, phi: SymbolExpr):
       e_x ||Y||_2 + ||x||_F e_y + gamma ||x||_F ||y||_F, with
       ||Y||_2 <= 1 for the powers of A_z and every inner function of it;
     * each solve y of m y = n, m = fl(I - conj(v) A_z) within e_m of M
-      and n within e_n of N: (e_m ||y||_F + ||fl(m y - n)||_F
-      + gamma (||m||_F ||y||_F + ||n||_F) + e_n) / (1 - |v|), since
-      ||M^{-1}||_2 <= 1/(1 - |v|);
+      and n = fl(A_z - v I) within e_n of N: e_y = (e_m ||y||_F
+      + ||fl(m y - n)||_F + gamma (||m||_F ||y||_F + ||n||_F) + e_n)
+      / (1 - |v|), since ||M^{-1}||_2 <= 1/(1 - |v|);
+    * each new factor y times the product x so far:
+      e_y + (1 + e_y) e_x + gamma ||y||_F ||x||_F, since both exact
+      factors are contractions, so the bounds add instead of compounding
+      by 1/(1 - |v|) per factor;
     * each sum or scaling: eps ||result||_F per operation; the step of S
       that adds conj(c_j) Q_j rounds by at most 2 eps F_j,
       F_j = sum_{k>=j} |c_k| ||Q_k||_F, and r_0 by (n + 2) eps r_0.
@@ -315,11 +325,14 @@ def analytic_compressions(u: BlaschkeProduct, phi: SymbolExpr):
         en = ea + eps * _fro(num)
         m = eye - np.conj(lam) * a
         em = abs(lam) * ea + 2.0 * eps * _fro(m)
-        rhs, erhs = (num, en) if x is None else _times(num, en, x, ex, gamma)
-        y = np.linalg.solve(m, rhs)
+        y = np.linalg.solve(m, num)
         fy, fm = _fro(y), _fro(m)
-        resid = _fro(m @ y - rhs) + gamma * (fm * fy + _fro(rhs))
-        x, ex = y, (em * fy + resid + erhs) / (1.0 - abs(lam))
+        resid = _fro(m @ y - num) + gamma * (fm * fy + _fro(num))
+        ey = (em * fy + resid + en) / (1.0 - abs(lam))
+        if x is None:
+            x, ex = y, ey
+        else:
+            x, ex = y @ x, ey + (1.0 + ey) * ex + gamma * fy * _fro(x)
     aq = core.constant * x
     eq = ex + 2.0 * eps * _fro(aq)
     aphi = aq + c * eye
@@ -328,3 +341,43 @@ def analytic_compressions(u: BlaschkeProduct, phi: SymbolExpr):
         OperatorMatrix(aphi, eq + eps * _fro(aphi)),
         OperatorMatrix(a2, 2.0 * abs(c) * eq + 4.0 * eps * _fro(a2)),
     )
+
+
+def taylor_toeplitz(u: BlaschkeProduct, p: int) -> OperatorMatrix:
+    """u(S) for the compressed shift S of K_{z^p}: the p x p lower
+    triangular Toeplitz matrix of u's Taylor coefficients u_hat(0..p-1).
+
+    By Sarason duality sigma_min(u(S)) = sigma_min(A_z^p) on K_u, so this
+    is the cross-check of m(D_{z^p}); for p = 1 it is [[u(0)]].  The
+    coefficients come from the factors' series b_hat(0) = -lam,
+    b_hat(n) = conj(lam)^(n-1) (1 - |lam|^2), by truncated convolution, so
+    no realization is read.  entry_error bounds the 2-norm of the
+    roundoff.  Each exact truncated series X of a partial product is
+    inner, so ||X||_2 <= 1 and its Toeplitz matrix T(X) is a contraction;
+    with eps the double epsilon and gamma = (p + 2) eps, a factor's series
+    y is within e_y = (2 p + 4 + 1/(1 - |lam|)) eps of its exact Y in l2,
+    and each convolution of x, within e_x, with y adds
+    (1 + sqrt(p) e_y) e_x + e_y + gamma ||x||_2 ||y||_1, since
+    ||T(y)||_2 <= 1 + ||y - Y||_1 and Young's inequality bounds the
+    rounding.  The matrix is then within sqrt(p) e_x, as
+    ||T(v)||_2 <= ||v||_1.
+    """
+    if u.degree < 1:
+        raise SymbolClassError("inner function must be nonconstant")
+    eps = np.finfo(float).eps
+    gamma = (p + 2) * eps
+    x = np.zeros(p, dtype=np.complex128)
+    x[0] = u.unimodular_constant
+    ex = 0.0
+    for lam in u.zeros:
+        r = abs(lam)
+        steps = np.full(p, np.conj(lam), dtype=np.complex128)
+        steps[0] = (1.0 - r) * (1.0 + r)
+        y = np.concatenate(([-lam], np.cumprod(steps[:-1])))
+        ey = (2 * p + 4 + 1.0 / (1.0 - r)) * eps
+        l1y = float(np.abs(y).sum())
+        ex = (1.0 + math.sqrt(p) * ey) * ex + ey + gamma * _fro(x) * l1y
+        x = np.convolve(x, y)[:p]
+    i, j = np.arange(p)[:, None], np.arange(p)
+    t = np.where(i >= j, x[i - j], 0.0)
+    return OperatorMatrix(t, math.sqrt(p) * ex)

@@ -303,6 +303,28 @@ def build_catalog() -> List[CatalogItem]:
         1e-12,
     ))
 
+    # complex zeros: A_z^2 on K_u is Sarason-dual to u(S) = [[a, 0], [b, a]]
+    # on K_{z^2}, a = u(0), b = u'(0) = u(0) sum (|lam|^2 - 1)/lam, whose
+    # singular values are closed-form: s_max^2 s_min^2 = |a|^4 and
+    # s_max^2 = (2|a|^2 + |b|^2 + |b| sqrt(4|a|^2 + |b|^2)) / 2
+    lam_c = (0.6 + 0.2j, -0.3 + 0.5j)
+    u_cplx = BlaschkeProduct(1.0, lam_c)
+    a_abs = abs(lam_c[0]) * abs(lam_c[1])
+    b_abs = a_abs * abs(sum((abs(v) ** 2 - 1.0) / v for v in lam_c))
+    s_max_sq = (2 * a_abs**2 + b_abs**2 + b_abs * np.sqrt(4 * a_abs**2 + b_abs**2)) / 2
+    add(CatalogItem(
+        "unimodular-shift-square-complex-zeros",
+        min_modulus_unimodular(u_cplx, shift_symbol(2)).value,
+        float(a_abs**2 / np.sqrt(s_max_sq)),
+        1e-12,
+    ))
+    add(CatalogItem(
+        "corner-shift-square-complex-zeros",
+        min_modulus_corner(u_cplx, shift_symbol(2)).value,
+        float(np.sqrt(1.0 - s_max_sq)),
+        1e-12,
+    ))
+
     sweep2 = galerkin_sweep(u_deg2, Z, [16, 64])
     add(CatalogItem("sweep-dual-shift-nonzero", sweep2[-1].value, oracle_m_dual_shift(u_deg2), 1e-12))
     sweep0 = galerkin_sweep(u_z2, Z, [16, 64])

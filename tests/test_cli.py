@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dttokit import minmod, operators
+from dttokit import cli, minmod, operators, oracle
 from dttokit.cli import _fmt, dispatch_minmod, main
+from dttokit.minmod import MinModReport
 from dttokit.fourier import (
     BlaschkeProduct,
     BlaschkeQuotient,
@@ -150,13 +151,16 @@ def test_minmod_refuses_unreachable_window_width(capsys):
     near_circle = '{"kind": "blaschke_product", "zeros": [[0.999999, 0], [0, -0.5]]}'
     for argv in (
         ["minmod", "--inner", near_circle, "--symbol", Q],
-        ["minmod", "--inner", near_circle, "--symbol", PHI_Z],
         ["sweep", "--inner", near_circle, "--symbol", Q, "--truncations", "4"],
     ):
         start = time.perf_counter()
         assert main(argv) == 3
         assert time.perf_counter() - start < 1.0
         assert "over budget: predicted window width" in capsys.readouterr().err
+    # z is read off u's realization, so it needs no window: m(D_z) = |u(0)|
+    assert main(["minmod", "--inner", near_circle, "--symbol", PHI_Z]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["value"] - 0.4999995) <= out["entry_error"]
 
 
 def test_removed_route_overrides_are_refused(capsys):
@@ -220,29 +224,72 @@ def test_a_block_whose_svd_copy_breaks_the_byte_budget_is_refused_under_an_addre
     assert "over budget: predicted Galerkin block of 2048000000 bytes, SVD copy included" in proc.stderr
 
 
+# 200 zeros at 0.9999
+RING200 = json.dumps({"kind": "blaschke_product", "zeros": [
+    [0.9999 * np.cos(t), 0.9999 * np.sin(t)] for t in 2 * np.pi * np.arange(200) / 200
+]})
+
+
 @pytest.mark.parametrize(
-    "inner",
+    "inner, symbol",
     [
         # 20000 zeros: a 20001 x 20001 long-double realization is 11.9 GiB
-        json.dumps({"kind": "blaschke_product", "zeros": [[0.5, 0.0]] * 20000}),
+        (json.dumps({"kind": "blaschke_product", "zeros": [[0.5, 0.0]] * 20000}), PHI_Z),
         # 10^8 zeros at 0, refused before the zero tuple is built
-        '{"kind": "blaschke_quotient", "z_power": 100000000}',
-        # 200 zeros at 0.9999: a 201 x 2^19 window stack at tol 1e-9,
-        # 3.4 GB with its two float arrays
-        json.dumps({"kind": "blaschke_product", "zeros": [
-            [0.9999 * np.cos(t), 0.9999 * np.sin(t)] for t in 2 * np.pi * np.arange(200) / 200
-        ]}),
+        ('{"kind": "blaschke_quotient", "z_power": 100000000}', PHI_Z),
+        # the mixed quotient still pairs windows: a 201 x 2^19 window stack
+        # at tol 1e-9, 3.4 GB with its two float arrays
+        (RING200, Q),
     ],
     ids=["zeros", "z_power", "window_stack"],
 )
-def test_an_inner_function_over_the_degree_budget_is_refused_under_an_address_space_cap(tmp_path, inner):
+def test_an_inner_function_over_the_degree_budget_is_refused_under_an_address_space_cap(tmp_path, inner, symbol):
     path = tmp_path / "inner.json"
     path.write_text(inner)
     start = time.perf_counter()
-    proc = _run_under_a_2gib_cap(["minmod", "--inner", str(path), "--symbol", PHI_Z])
+    proc = _run_under_a_2gib_cap(["minmod", "--inner", str(path), "--symbol", symbol])
     assert time.perf_counter() - start < 2.0
     assert proc.returncode == 3, proc.stderr
     assert "over budget:" in proc.stderr
+
+
+def test_the_shift_on_a_ring_near_the_circle_is_answered_under_an_address_space_cap(tmp_path):
+    # z needs no window stack: m(D_z) = |u(0)| = 0.9999^200 from u's realization
+    path = tmp_path / "inner.json"
+    path.write_text(RING200)
+    start = time.perf_counter()
+    proc = _run_under_a_2gib_cap(["minmod", "--inner", str(path), "--symbol", PHI_Z])
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert abs(out["value"] - 0.9999**200) <= out["entry_error"]
+
+
+def _ring_plus_half(n, r):
+    """0.5 + theta, theta with n equally spaced zeros of modulus r."""
+    zeros = [[r * np.cos(t), r * np.sin(t)] for t in 2 * np.pi * np.arange(n) / n]
+    return json.dumps({"kind": "sum", "constant": [0.5, 0], "left": {"kind": "blaschke_quotient", "zeros": zeros}})
+
+
+def test_many_symbol_zeros_near_the_circle_keep_a_small_finite_bound(capsys):
+    # the bound once compounded 1/(1 - |v|) per zero: 3.6e238 for the first,
+    # and an overflow reported as an input error (exit 2) for the second
+    inner = '{"kind": "blaschke_product", "zeros": [[0.5, 0], [0, 0.3], [0.2, 0.4]]}'
+    for n, r in ((40, 0.999), (200, 0.9999)):
+        assert main(["minmod", "--inner", inner, "--symbol", _ring_plus_half(n, r)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["quantity"] == "m(B_phi)" and 0.0 < out["entry_error"] < 1e-6
+
+
+def test_a_numerical_failure_exits_1_not_as_an_input_error(monkeypatch, capsys):
+    affine = '{"kind": "laurent", "offset": 0, "coeffs": [[0.25, 0], [0.5, 0]]}'
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_fro", lambda x: float("inf"))
+        assert main(["minmod", "--inner", U_HALF_FIFTH, "--symbol", affine]) == 1
+    assert "numerical failure: FloatingPointError" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "min_modulus_toeplitz_hankel", lambda u, phi, tol: MinModReport(0.9, "finite_exact"))
+    assert main(["minmod", "--inner", U_HALF_FIFTH, "--symbol", Q]) == 1
+    assert "numerical failure: RuntimeError: dual-route disagreement" in capsys.readouterr().err
 
 
 def test_a_huge_power_of_z_meets_the_divisibility_oracle_at_once(capsys):
@@ -330,12 +377,12 @@ def test_verify_clean_and_perturbed(capsys):
     assert main(["verify"]) == 0
     clean = capsys.readouterr().out
     assert "PASS" in clean and "FAIL" not in clean
-    assert clean.splitlines()[-1] == "57/57 checks passed"
+    assert clean.splitlines()[-1] == "59/59 checks passed"
     assert main(["verify", "--perturb-oracle", "1e-3"]) == 1
     perturbed = capsys.readouterr().out
     # every item can fail: each compares against a shifted oracle
     assert "PASS" not in perturbed
-    assert perturbed.splitlines()[-1] == "0/57 checks passed"
+    assert perturbed.splitlines()[-1] == "0/59 checks passed"
 
 
 # the catalog's item names: items may be added, none lost, renamed or doubled
@@ -361,6 +408,7 @@ CATALOG_NAMES = (
     "nehari-own-symbol", "nehari-shift-dim-one", "constant-symbol-oracle", "dispatch-shift-z2",
     "dispatch-shift-z2-oracle", "dispatch-shift-dim-one", "dispatch-step-lower",
     "dispatch-step-upper", "inner-symbol-divisible",
+    "unimodular-shift-square-complex-zeros", "corner-shift-square-complex-zeros",
 )
 
 
@@ -368,7 +416,7 @@ def test_catalog_builds_every_pinned_item_once():
     from dttokit.verify import build_catalog
 
     names = [item.name for item in build_catalog()]
-    assert len(CATALOG_NAMES) == 57
+    assert len(CATALOG_NAMES) == 59
     assert [names.count(name) for name in CATALOG_NAMES] == [1] * len(CATALOG_NAMES)
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dttokit import (
     BlaschkeProduct,
@@ -12,6 +13,7 @@ from dttokit import (
     PiecewiseArcs,
     SymbolClassError,
     compressed_shift,
+    conjugated,
     constant_symbol,
     galerkin_sweep,
     inner_symbol,
@@ -24,11 +26,11 @@ from dttokit import (
     tm_basis,
 )
 from dttokit.cli import dispatch_minmod
-from dttokit import fourier
+from dttokit import fourier, minmod, modelspace
 from dttokit.fourier import _takenaka_windows
 from dttokit.minmod import MinModReport
-from dttokit.operators import OperatorMatrix, corner_gram, dual_truncated_toeplitz
-from dttokit.oracle import analytic_compressions, oracle_m_compressed_shift
+from dttokit.operators import OperatorMatrix, corner_gram, dual_truncated_toeplitz, truncated_toeplitz
+from dttokit.oracle import analytic_compressions, oracle_m_compressed_shift, taylor_toeplitz
 
 from conftest import random_blaschke, random_quotient
 from reference import reduced_min_modulus
@@ -291,6 +293,112 @@ def test_inner_symbol_dim_one_cross_check():
 
 
 # ---------------------------------------------------------------------------
+# powers of z: u's realization and its Taylor coefficients, no window
+
+
+def test_the_taylor_dual_is_u_at_zero_and_its_derivative():
+    lam = (0.6 + 0.2j, -0.3 + 0.5j)
+    u = BlaschkeProduct(1j, lam)
+    a = u.at_zero()
+    b = a * sum((abs(v) ** 2 - 1.0) / v for v in lam)  # u'(0)
+    t1, t2 = taylor_toeplitz(u, 1), taylor_toeplitz(u, 2)
+    assert abs(t1.entries[0, 0] - a) <= t1.entry_error
+    assert np.abs(t2.entries - np.array([[a, 0], [b, a]])).max() <= t2.entry_error
+    # sigma_min(A_z^2) on K_u is the dual's sigma_min (Sarason)
+    rep = min_modulus_unimodular(u, LaurentPoly(2, [1.0]))
+    assert abs(rep.value - sigma_min(t2)) <= rep.entry_error_bound + t2.entry_error + 1e-15
+    with pytest.raises(SymbolClassError):
+        taylor_toeplitz(BlaschkeProduct(), 1)
+
+
+def test_the_taylor_dual_matches_the_fft_of_u_on_the_circle():
+    # aliasing moves the first coefficients by less than 1e-90 for zeros
+    # inside |z| < 0.9
+    u = BlaschkeProduct(np.exp(0.3j), (0.6 + 0.2j, -0.3 + 0.5j, 0.8j, 0.8j, 0.0, -0.5))
+    t = taylor_toeplitz(u, 6)
+    circle = np.exp(2j * np.pi * np.arange(2048) / 2048)
+    values = u.unimodular_constant * np.prod([(circle - v) / (1 - np.conj(v) * circle) for v in u.zeros], axis=0)
+    assert np.abs(t.entries[:, 0] - np.fft.fft(values)[:6] / 2048).max() <= t.entry_error + 1e-15
+    # lower triangular Toeplitz
+    assert all(len(set(np.diagonal(t.entries, -k))) == 1 for k in range(6))
+    assert np.array_equal(t.entries, np.tril(t.entries))
+
+
+def test_powers_of_z_and_inner_corners_build_no_window(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window was built")
+
+    for module, name in ((minmod, "tm_basis"), (modelspace, "_takenaka_windows"), (fourier, "_takenaka_windows")):
+        monkeypatch.setattr(module, name, refuse)
+    u = BlaschkeProduct(np.exp(0.4j), (0.9, 0.5 - 0.6j, 0.0, 0.3j))
+    c = np.exp(2.1j)
+    for p in range(1, u.degree + 1):
+        for phi in (LaurentPoly(p, [c]), LaurentPoly(-p, [c]), BlaschkeQuotient(c, -p, ())):
+            rep = dispatch_minmod(u, phi)
+            assert rep["method"] == "finite_exact"
+    for theta in (Z, BlaschkeQuotient(c, 2, (0.4j, -0.7)), BlaschkeQuotient(c, 0, (0.1, 0.2, 0.3)), constant_symbol(c)):
+        assert min_modulus_corner(u, theta).oracle_value is not None
+    # past deg u the windowed routes still answer
+    with pytest.raises(AssertionError, match="a window was built"):
+        dispatch_minmod(u, LaurentPoly(u.degree + 1, [c]))
+
+
+def test_zbar_near_the_circle_is_answered_in_milliseconds():
+    # the windowed route took about 1.7 s here
+    u = _ring(32, 0.9999)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        rep = dispatch_minmod(u, shift_symbol(-1), 1e-9)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.05
+    assert abs(rep["value"] - 0.9999**32) <= rep["entry_error"]
+    assert rep["oracle"] == oracle_m_compressed_shift(u)
+
+
+_polar_to_point_nine = st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 2 * np.pi))
+
+
+@st.composite
+def _inner_to_point_nine(draw):
+    zeros = [r * np.exp(1j * t) for r, t in draw(st.lists(_polar_to_point_nine, min_size=1, max_size=6))]
+    shape = draw(st.sampled_from(("plain", "repeated", "origin")))
+    if shape == "repeated":
+        zeros[-1] = zeros[0]
+    elif shape == "origin":
+        zeros[draw(st.integers(0, len(zeros) - 1))] = 0.0
+    return BlaschkeProduct(np.exp(1j * draw(st.floats(0.0, 2 * np.pi))), tuple(zeros))
+
+
+@settings(max_examples=60)
+@given(u=_inner_to_point_nine(), data=st.data())
+def test_powers_of_z_and_inner_corners_agree_with_the_windowed_routes(u, data):
+    basis = tm_basis(u, 1e-13)
+    slack = 8 * u.degree * np.finfo(float).eps  # the factorizations' own roundoff
+    c = np.exp(1j * data.draw(st.floats(0.0, 2 * np.pi)))
+    for phi in [LaurentPoly(s * p, [c]) for p in range(1, u.degree + 1) for s in (1, -1)]:
+        windowed = truncated_toeplitz(basis, conjugated(phi))
+        ref, budget = sigma_min(windowed), windowed.sv_perturbation() + slack
+        for rep in (min_modulus_unimodular(u, phi), min_modulus_toeplitz_hankel(u, phi)):
+            assert abs(rep.value - ref) <= rep.entry_error_bound + budget
+    # inner theta of degree at most deg u against the windowed corner Gram
+    z_power = data.draw(st.integers(0, u.degree))
+    extra = data.draw(st.lists(_polar_to_point_nine, max_size=u.degree - z_power))
+    theta = BlaschkeQuotient(c, z_power, tuple(r * np.exp(1j * t) for r, t in extra))
+    g = corner_gram(basis, theta)
+    lam = float(np.linalg.eigvalsh(g.entries)[0])
+    budget = g.sv_perturbation() + slack
+    rep = min_modulus_corner(u, theta)
+    assert abs(rep.value**2 - lam) <= rep.entry_error_bound + budget
+    if z_power + len(extra) < u.degree:
+        assert rep.oracle_value == 0.0
+    else:
+        dual = analytic_compressions(BlaschkeProduct(1.0, theta.zeros + (0j,) * z_power), inner_symbol(u))[0]
+        s, e = np.linalg.svd(dual.entries, compute_uv=False)[0], dual.entry_error
+        assert abs(rep.oracle_value**2 - lam) <= e * (2 * s + e) + budget
+
+
+# ---------------------------------------------------------------------------
 # Galerkin sweep
 
 
@@ -430,10 +538,10 @@ def test_high_degree_dispatch_matches_the_shift_dichotomy():
 
 def test_one_dispatch_builds_the_windows_of_each_zero_set_once():
     u = BlaschkeProduct(1.0, (0.5, -0.3j, 0.2 + 0.4j))
-    # the basis twice and u's window: one build of u's zeros
+    # zbar is read off u's realization and Taylor coefficients: no build
     _takenaka_windows.cache_clear()
     dispatch_minmod(u, shift_symbol(-1))
-    assert _takenaka_windows.cache_info()[:2] == (2, 1)
+    assert _takenaka_windows.cache_info()[:2] == (0, 0)
     # a quotient symbol adds one build of its zeros, read by both routes
     _takenaka_windows.cache_clear()
     dispatch_minmod(u, BlaschkeQuotient(1.0, -1, (0.3,)))
@@ -446,11 +554,11 @@ def test_inner_corner_builds_the_window_of_phi_once():
     _takenaka_windows.cache_clear()
     min_modulus_corner(u, LaurentPoly(1, [0.3, 1.0]))
     assert _takenaka_windows.cache_info()[:2] == (0, 0)
-    # phi = z b_0.3 is inner: only the windowed cross-value builds u's basis
-    # and phi's window, once each (u's own window is a hit on the basis build)
+    # phi = z b_0.3 is inner of degree deg u: its cross-value is the
+    # Sarason dual on K_phi, so no window either
     _takenaka_windows.cache_clear()
     min_modulus_corner(u, BlaschkeQuotient(1.0, 1, (0.3,)))
-    assert _takenaka_windows.cache_info()[:2] == (1, 2)
+    assert _takenaka_windows.cache_info()[:2] == (0, 0)
 
 
 def test_the_basis_gram_is_paired_once_per_build(monkeypatch):

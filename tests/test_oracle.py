@@ -82,6 +82,16 @@ def test_dual_shift_oracle_dichotomy():
         oracle_m_dual_shift(BlaschkeProduct(1.0, ()))
 
 
+def test_the_shift_and_its_conjugate_share_the_oracle():
+    # zbar is unimodular, so m(D_zbar) = m(A_z) = |u(0)| as for z
+    u = BlaschkeProduct(1.0, (0.6 + 0.2j, -0.3 + 0.5j))
+    for phi in (Z, Conjugate(Z), shift_symbol(-1), BlaschkeQuotient(1j, -1, ()), Conjugate(BlaschkeQuotient(1j, 1, ()))):
+        assert _oracle_for(u, phi) == oracle_m_dual_shift(u)
+    # other negative powers and mixed quotients carry none
+    assert _oracle_for(u, shift_symbol(-2)) is None
+    assert _oracle_for(u, BlaschkeQuotient(1.0, -1, (0.3,))) is None
+
+
 # ---------------------------------------------------------------------------
 # essential range
 
@@ -670,6 +680,32 @@ def test_analytic_compressions_are_bounded_against_long_double_and_windows(u, ph
     windowed = corner_gram(tm_basis(u, 1e-13), phi)
     budget = rep.entry_error_bound + a2.entry_error + windowed.sv_perturbation()
     assert np.abs(g - windowed.entries).max() <= budget
+
+
+_ITEM19_U = BlaschkeProduct(1.0, (0.5, 0.3j, 0.2 + 0.4j))
+
+
+@settings(max_examples=30)
+@example(u=_ITEM19_U, n=40, r=0.999, turn=0.0, c=0.5 + 0j)
+@example(u=_ITEM19_U, n=200, r=0.9999, turn=0.0, c=0.5 + 0j)
+@given(
+    u=_inner_functions(),
+    n=st.integers(1, 200),
+    r=st.floats(0.9, 0.9999),
+    turn=st.floats(0.0, 1.0),
+    c=st.one_of(st.just(0j), _coeff),
+)
+def test_bounds_of_many_factors_near_the_circle_add_instead_of_compounding(u, n, r, turn, c):
+    # the bound once grew like prod 1/(1 - |v|): 3.6e238 for 40 zeros at 0.999
+    zeros = tuple(r * np.exp(2j * np.pi * (k + turn) / n) for k in range(n))
+    phi = SumConst(BlaschkeQuotient(1.0, 0, zeros), c)
+    a, a2 = analytic_compressions(u, phi)
+    ref, ref2 = _long_double_compressions(u, phi)
+    assert _norm2(a.entries - ref) <= a.entry_error < 1e-6
+    assert _norm2(a2.entries - ref2) <= a2.entry_error
+    if c:
+        # an inner phi (c = 0) of degree above deg u takes the windowed cross-value
+        assert min_modulus_corner(u, phi).entry_error_bound < 1e-6
 
 
 def test_analytic_compressions_of_constants_and_the_shift_are_exact():
